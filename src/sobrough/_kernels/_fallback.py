@@ -6,20 +6,29 @@ All arrays are C-contiguous float64.  Tensor coefficients are packed
 level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 """
 
+import functools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 _BLOCK = 128
 
 
+@functools.lru_cache(maxsize=32)
 def level_layout(d, N):
-    """Offsets and sizes of the packed levels of T^N(R^d)."""
+    """Offsets and sizes of the packed levels of T^N(R^d).
+
+    Computed once per (d, N); the returned arrays are shared and read-only."""
     sizes = [d**k for k in range(N + 1)]
     offsets = [0]
     for s in sizes[:-1]:
         offsets.append(offsets[-1] + s)
-    return np.asarray(offsets, dtype=np.int64), np.asarray(sizes, dtype=np.int64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    offsets.setflags(write=False)
+    sizes.setflags(write=False)
+    return offsets, sizes
 
 
 def _lv(arr, off, sz, k):
@@ -42,16 +51,30 @@ def rowwise_mul(a, b, d, N):
 
 
 def chen_prefix(segs, d, N, start=None):
-    """Running left products: out[0] = start (identity if None), out[m+1] = out[m] ⊗ segs[m]."""
+    """Running left products: out[0] = start (identity if None), out[m+1] = out[m] ⊗ segs[m].
+
+    Every segment must have scalar level 1, so the last term of level k of
+    out[r] ⊗ segs[r] is out_k[r] itself.  Level k of out[r+1] is then out_k[r]
+    plus Σ_{i<k} out_i[r] ⊗ segs_{k−i}[r], which reads lower levels only: the
+    levels are built in ascending order, each for all rows at once, and the
+    running sum over the rows is a cumsum.  The float operations and their
+    order are those of one rowwise_mul per row."""
     off, sz = level_layout(d, N)
     m, L = segs.shape
+    if np.any(segs[:, 0] != 1.0):
+        raise ValueError("chen_prefix needs segments with scalar level 1")
     out = np.zeros((m + 1, L))
     if start is None:
         out[0, 0] = 1.0
     else:
         out[0] = start
-    for r in range(m):
-        out[r + 1] = rowwise_mul(out[r:r + 1], segs[r:r + 1], d, N)[0]
+    for k in range(N + 1):
+        lev = _lv(out, off, sz, k)
+        for i in range(k):
+            ai = _lv(out[:-1], off, sz, i).reshape(m, sz[i], 1)
+            bj = _lv(segs, off, sz, k - i).reshape(m, 1, sz[k - i])
+            lev[1:] += (ai * bj).reshape(m, sz[k])
+        np.cumsum(lev, axis=0, out=lev)
     return out
 
 
@@ -138,11 +161,21 @@ def partition_dp_max(w):
 
 
 def interval_dp_table(w):
-    """T[a, b] = partition_dp_max of w restricted to [a, b], for all a ≤ b."""
+    """T[a, b] = partition_dp_max of w restricted to [a, b], for all a ≤ b.
+
+    T[a, a+g] = max_{j<g} T[a, a+j] + w[a+j, a+g] is computed for all a at
+    once, one diagonal g = 1, …, n−1 at a time.  Both operands are strided
+    views with step n+1 between rows: T itself, and w transposed so that
+    the reads along j are contiguous.  np.max gives the same result in any
+    order, so the table is that of one np.max per entry."""
     n = w.shape[0]
     T = np.zeros((n, n))
-    for a in range(n - 1):
-        row = T[a]
-        for b in range(a + 1, n):
-            row[b] = np.max(row[a:b] + w[a:b, b])
+    wT = np.ascontiguousarray(w.T, dtype=np.float64)
+    row_step = (n + 1) * T.itemsize
+    flat = T.reshape(-1)
+    for g in range(1, n):
+        rows = n - g
+        t = as_strided(T, (rows, g), (row_step, T.itemsize))
+        u = as_strided(wT[g:], (rows, g), (row_step, T.itemsize))
+        np.max(t + u, axis=1, out=flat[g::n + 1][:rows])
     return T

@@ -201,10 +201,14 @@ def rough_integral(cp: ControlledPath, X: SampledRoughPath | None = None,
     x1 = X.nodes[:, X.alg.slice(1)]
     xinc = x1[None, :, :] - x1[:, None, :]
     lin = np.einsum("u...j,uvj->uv...", cp.Y, xinc)
-    RI = values[None, :, ...] - values[:, None, ...] - lin
+    del xinc
+    # built in place, so at most two (n, n, w) arrays are alive at once
+    RI = values[None, :, ...] - values[:, None, ...]
+    RI -= lin
+    del lin
     n = X.n_nodes
-    tri = np.triu(np.ones((n, n), dtype=bool), k=1)
-    RI = np.where(tri.reshape((n, n) + (1,) * len(wshape)), RI, 0.0)
+    lower = np.tri(n, dtype=bool)
+    np.copyto(RI, 0.0, where=lower.reshape((n, n) + (1,) * len(wshape)))
 
     refinement = np.zeros((X.depth + 1,) + wshape)
     order = math.nan

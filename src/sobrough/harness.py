@@ -25,7 +25,8 @@ from .paths import (IntervalFunction, SampledRoughPath, control_check,
                     integral_norm_interval_function, mixed_dist, inhom_sobolev_dist,
                     sobolev_norm_dyadic, sobolev_norm_integral, VectorPath,
                     _floor_bracket)
-from .rde import NonConvergenceError, BlowUpError, solve_euler, solve_picard_level2
+from .rde import (NonConvergenceError, BlowUpError, RdeSolution, solve_euler,
+                  solve_picard_level2)
 
 #: safety margin applied to calibration-split maxima before freezing a constant
 FIT_MARGIN = 1.5
@@ -410,16 +411,44 @@ def _perturbed_inputs(channel: str, eps: float, base):
     return drv2, V2, y02
 
 
-def _solve_pair_record(channel, eps, pair_idx, base, cfg):
+@dataclass
+class _BaseSide:
+    """The unperturbed half of every pair built on one base problem: the
+    problem, its lift, its Picard solution (or the error that stopped it),
+    its driver norm and its field's Lip surrogate.  All channel×eps cells
+    share it."""
+    base: tuple
+    X: SampledRoughPath
+    solution: RdeSolution | None
+    error: str | None
+    b_norm: float | None
+    l_norm: float | None
+
+
+def _base_side(base, cfg) -> _BaseSide:
     alpha, p, level, J = cfg["alpha"], cfg["p"], cfg["level"], cfg["depth"]
-    gamma = level + 1 - GAMMA_DELTA
     driver, V, y0 = base[0], base[1], base[2]
-    drv2, V2, y02 = _perturbed_inputs(channel, eps, base)
     X1 = lift_smooth(driver.samples(J), level, J, alpha, p)
-    X2 = lift_smooth(drv2.samples(J), level, J, alpha, p)
-    rec = {"channel": channel, "eps": eps, "pair": pair_idx}
     try:
         s1 = solve_picard_level2(y0, V, X1, tol=cfg["tol"], max_iter=cfg["max_iter"])
+    except (NonConvergenceError, BlowUpError) as exc:
+        return _BaseSide(base, X1, None, str(exc), None, None)
+    return _BaseSide(base, X1, s1, None, sobolev_norm_integral(X1, alpha, p),
+                     V.lip_surrogate(level + 1 - GAMMA_DELTA, LIP_RADIUS).value)
+
+
+def _solve_pair_record(channel, eps, pair_idx, side: _BaseSide, cfg):
+    alpha, p, level, J = cfg["alpha"], cfg["p"], cfg["level"], cfg["depth"]
+    gamma = level + 1 - GAMMA_DELTA
+    V, y0 = side.base[1], side.base[2]
+    rec = {"channel": channel, "eps": eps, "pair": pair_idx}
+    if side.error is not None:
+        rec["error"] = side.error
+        return rec, None, None
+    drv2, V2, y02 = _perturbed_inputs(channel, eps, side.base)
+    X1, s1 = side.X, side.solution
+    X2 = lift_smooth(drv2.samples(J), level, J, alpha, p)
+    try:
         s2 = solve_picard_level2(y02, V2, X2, tol=cfg["tol"], max_iter=cfg["max_iter"])
     except (NonConvergenceError, BlowUpError) as exc:
         rec["error"] = str(exc)
@@ -443,9 +472,8 @@ def _solve_pair_record(channel, eps, pair_idx, base, cfg):
         "ratio": (gap / denom) if denom > 0 else None,
         "picard_iterations": [s1.meta["iterations"], s2.meta["iterations"]],
     })
-    b_norm = max(sobolev_norm_integral(X1, alpha, p), sobolev_norm_integral(X2, alpha, p))
-    l_norm = max(V.lip_surrogate(gamma, LIP_RADIUS).value,
-                 V2.lip_surrogate(gamma, LIP_RADIUS).value)
+    b_norm = max(side.b_norm, sobolev_norm_integral(X2, alpha, p))
+    l_norm = max(side.l_norm, V2.lip_surrogate(gamma, LIP_RADIUS).value)
     return rec, b_norm, l_norm
 
 
@@ -471,34 +499,36 @@ def lipschitz_sweep(cfg: dict | None = None) -> dict:
     cfg.setdefault("max_iter", 60)
     channels = ("init", "field", "driver", "mixed")
 
+    # base problem k (k = 0 also for the identical row) is lifted and solved once
+    sides = [_base_side(_sweep_problem(cfg["seed"], k, cfg["d"], cfg["e"]), cfg)
+             for k in range(max(cfg["pairs_per_cell"], 1))]
+
     records = []
     b_max, l_max = 0.0, 0.0
     for channel in channels:
         for eps in cfg["eps_grid"]:
             for k in range(cfg["pairs_per_cell"]):
-                base = _sweep_problem(cfg["seed"], k, cfg["d"], cfg["e"])
-                rec, b, l = _solve_pair_record(channel, eps, k, base, cfg)
+                rec, b, l = _solve_pair_record(channel, eps, k, sides[k], cfg)
                 records.append(rec)
                 if b is not None:
                     b_max, l_max = max(b_max, b), max(l_max, l)
 
     # trivial row: identical inputs, both sides exactly zero
-    base = _sweep_problem(cfg["seed"], 0, cfg["d"], cfg["e"])
-    rec, _, _ = _solve_pair_record("init", 0.0, 0, base, cfg)
+    rec, _, _ = _solve_pair_record("init", 0.0, 0, sides[0], cfg)
     rec["channel"] = "identical"
     rec["ratio"] = None
     records.append(rec)
 
     # trivial rows: zero field, initial-value channel; ratio is exactly 1
+    driver = make_trig_driver([cfg["seed"], 500, 0], cfg["d"], amp=0.5)
+    zeroV = PolyVectorField.zero(cfg["e"], cfg["d"])
+    rng = _seed_stream(cfg["seed"], 400, 0)
+    y0 = 0.3 * rng.uniform(-1.0, 1.0, cfg["e"])
+    du = np.zeros(cfg["e"])
+    du[0] = 1.0
+    side0 = _base_side((driver, zeroV, y0, zeroV, driver, du), cfg)
     for eps in cfg["eps_grid"]:
-        driver = make_trig_driver([cfg["seed"], 500, 0], cfg["d"], amp=0.5)
-        zeroV = PolyVectorField.zero(cfg["e"], cfg["d"])
-        rng = _seed_stream(cfg["seed"], 400, 0)
-        y0 = 0.3 * rng.uniform(-1.0, 1.0, cfg["e"])
-        du = np.zeros(cfg["e"])
-        du[0] = 1.0
-        base0 = (driver, zeroV, y0, zeroV, driver, du)
-        rec, _, _ = _solve_pair_record("init", eps, 0, base0, cfg)
+        rec, _, _ = _solve_pair_record("init", eps, 0, side0, cfg)
         rec["channel"] = "zero-field"
         records.append(rec)
 

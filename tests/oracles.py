@@ -7,11 +7,13 @@ cross-checks that share pairwise weight matrices, only the weight
 computation is shared while the partition search is enumerated from
 scratch.
 
-The two solver references at the end are the straightforward loops that
-the library's solvers shortcut: Picard iteration with the full controlled
+The two solver references are the straightforward loops that the
+library's solvers shortcut: Picard iteration with the full controlled
 norm on every iteration, and RK4 with one driver-derivative call and one
-single-point field evaluation per stage.  The library must match them
-bitwise.
+single-point field evaluation per stage.  The two kernel references at the
+end are the per-element loops that the NumPy kernels vectorise: one
+tensor product per Chen prefix row and one `np.max` per interval table
+entry.  The library must match all four bitwise.
 """
 
 import itertools
@@ -19,6 +21,7 @@ import math
 
 import numpy as np
 
+from sobrough._kernels import _fallback
 from sobrough.controlled import (ControlledPath, compose_smooth, controlled_norm,
                                  rough_integral)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
@@ -161,3 +164,27 @@ def rk4_per_substep(y0, V, driver, depth: int, refinement: int = 64):
     fine = integrate(refinement)
     half = integrate(max(refinement // 2, 1))
     return fine, float(np.max(np.abs(fine[-1] - half[-1]))) / (2**4 - 1)
+
+
+def chen_prefix_per_row(segs, d, N, start=None):
+    """Running left products with one truncated tensor product per row."""
+    m, L = segs.shape
+    out = np.zeros((m + 1, L))
+    if start is None:
+        out[0, 0] = 1.0
+    else:
+        out[0] = start
+    for r in range(m):
+        out[r + 1] = _fallback.rowwise_mul(out[r:r + 1], segs[r:r + 1], d, N)[0]
+    return out
+
+
+def interval_dp_table_per_cell(w):
+    """Interval partition table with one `np.max` per entry T[a, b]."""
+    n = w.shape[0]
+    T = np.zeros((n, n))
+    for a in range(n - 1):
+        row = T[a]
+        for b in range(a + 1, n):
+            row[b] = np.max(row[a:b] + w[a:b, b])
+    return T

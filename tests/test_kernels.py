@@ -1,9 +1,12 @@
-"""Parity between the compiled kernels and the pure-NumPy fallback."""
+"""The pure-NumPy kernels against their per-element reference loops, and
+parity between the compiled kernels and the fallback."""
 
 import numpy as np
 import pytest
 
 from sobrough._kernels import _fallback
+
+from oracles import chen_prefix_per_row, interval_dp_table_per_cell
 
 try:
     from sobrough._kernels import _speedups
@@ -18,6 +21,62 @@ def random_group_batch(rng, n, d, N):
     alg = A.TensorAlgebra(d, N)
     rows = [A.random_group_element(alg, rng).data for _ in range(n)]
     return np.ascontiguousarray(np.stack(rows)), alg
+
+
+class TestFallbackMatchesLoops:
+    def test_layout_cached_and_read_only(self):
+        off, sz = _fallback.level_layout(2, 3)
+        assert _fallback.level_layout(2, 3)[0] is off
+        assert list(off) == [0, 1, 3, 7] and list(sz) == [1, 2, 4, 8]
+        assert not off.flags.writeable and not sz.flags.writeable
+
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 2), (2, 2), (3, 3), (2, 4)])
+    @pytest.mark.parametrize("m", [0, 1, 2, 37])
+    @pytest.mark.parametrize("start", ["identity", "group", "arbitrary"])
+    def test_chen_prefix_bitwise(self, rng, d, N, m, start):
+        L = sum(d**k for k in range(N + 1))
+        segs = random_group_batch(rng, m, d, N)[0] if m else np.zeros((0, L))
+        s0 = {"identity": None,
+              "group": random_group_batch(rng, 1, d, N)[0][0],
+              "arbitrary": rng.standard_normal(L)}[start]
+        got = _fallback.chen_prefix(segs, d, N, start=s0)
+        assert got.shape == (m + 1, L)
+        assert np.array_equal(got, chen_prefix_per_row(segs, d, N, start=s0))
+
+    def test_chen_prefix_keeps_signed_zeros(self):
+        segs = np.array([[1.0, -0.0, -0.0], [1.0, 0.5, -0.0]])
+        start = np.array([1.0, -0.0, 0.25])
+        got = _fallback.chen_prefix(segs, 1, 2, start=start)
+        want = chen_prefix_per_row(segs, 1, 2, start=start)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scalar", [0.0, 2.0, np.nan])
+    def test_chen_prefix_rejects_scalar_level_other_than_one(self, rng, scalar):
+        segs, _ = random_group_batch(rng, 4, 2, 2)
+        segs[2, 0] = scalar
+        with pytest.raises(ValueError, match="scalar level 1"):
+            _fallback.chen_prefix(segs, 2, 2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+    def test_interval_dp_table_bitwise(self, rng, n):
+        w = rng.random((n, n)) ** 3
+        w[n // 2] = 0.0
+        w[n // 4] = -0.0
+        if n > 2:
+            w[0, n - 1] = np.inf
+            w[n // 3, n // 3 + 1:] = np.inf
+        got = _fallback.interval_dp_table(w)
+        want = interval_dp_table_per_cell(w)
+        assert got.shape == (n, n) and not np.isnan(got).any()
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert not np.tril(got).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+    def test_interval_table_corner_is_partition_dp(self, rng, n):
+        w = rng.random((n, n))
+        assert _fallback.interval_dp_table(w)[0, -1] == _fallback.partition_dp_max(w)
 
 
 @needs_compiled
