@@ -22,7 +22,7 @@ from .algebra import GroupElement, TensorAlgebra
 CTRL_TOL = 1e-9
 
 _BLOCK = 128
-_CACHE_MAX_NODES = 2049  # cache full pairwise matrices up to this grid size
+_CACHE_MAX_NODES = 2049  # cache pair distances up to this grid size
 
 
 class PathError(ValueError):
@@ -69,6 +69,7 @@ class SampledRoughPath:
         self.nodes.setflags(write=False)
         self._inv_cache = None
         self._dist_cache = None
+        self._upper_cache = None
         self._dyadic_cache = {}
         if not trusted:
             self._validate_geometricity()
@@ -153,7 +154,26 @@ class SampledRoughPath:
         return _kernels.hom_dist_matrix(self.nodes, self.inv_nodes,
                                         self.alg.dim, self.alg.level, i0, i1)
 
+    def upper_blocks(self, i0: int, i1: int):
+        """Distance block rows covering the pairs i0 <= u < v < i1; see _upper_blocks.
+
+        On the whole grid of up to _CACHE_MAX_NODES nodes the blocks are
+        computed once and kept read-only, n^2/2 floats in all, so the Hoelder
+        norm, the q-variation and the integral norm share them."""
+        if (i0, i1) != (0, self.n_nodes) or self.n_nodes > _CACHE_MAX_NODES:
+            return _upper_blocks(self, i0, i1)
+        if self._upper_cache is None:
+            blocks = list(_upper_blocks(self, i0, i1))
+            for _, dist in blocks:
+                dist.setflags(write=False)
+            self._upper_cache = blocks
+        return self._upper_cache
+
     def pair_sum(self, p: float, expo: float, i0: int, i1: int) -> float:
+        # Only reads cached blocks: building them for the integral norm alone
+        # would hold n^2/2 floats that streaming does without.
+        if self._upper_cache is not None and (i0, i1) == (0, self.n_nodes):
+            return _pair_sum(self._upper_cache, p, expo, self.h, i1)
         return _kernels.sobolev_pair_sum(self.nodes, self.inv_nodes,
                                          self.alg.dim, self.alg.level,
                                          p, expo, self.h, i0, i1)
@@ -201,13 +221,6 @@ class SampledRoughPath:
         packed = algebra.signature_path_packed(pts, alg)
         return cls(alg, J, packed, alpha, p, trusted=True)
 
-    @classmethod
-    def from_group_elements(cls, elements, depth: int, alpha: float, p: float,
-                            trusted: bool = False) -> "SampledRoughPath":
-        alg = elements[0].alg
-        packed = np.stack([g.data for g in elements])
-        return cls(alg, depth, packed, alpha, p, trusted=trusted)
-
 
 class VectorPath:
     """Adapter giving an R^m-valued path on a uniform grid over [0, 1] the
@@ -247,17 +260,11 @@ class VectorPath:
     def dist_matrix(self, i0: int, i1: int) -> np.ndarray:
         return self.dist_block(i0, i1, i0, i1)
 
+    def upper_blocks(self, i0: int, i1: int):
+        return _upper_blocks(self, i0, i1)
+
     def pair_sum(self, p: float, expo: float, i0: int, i1: int) -> float:
-        parts = []
-        for r0 in range(i0, i1, _BLOCK):
-            r1 = min(r0 + _BLOCK, i1)
-            dist = self.dist_block(r0, r1, r0, i1)
-            gap = (np.arange(r0, i1)[None, :] - np.arange(r0, r1)[:, None]).astype(float)
-            mask = gap > 0
-            gap[~mask] = 1.0
-            term = np.where(mask, dist**p * (gap * self.h) ** (-expo), 0.0)
-            parts.append(float(np.sum(term)))
-        return math.fsum(parts)
+        return _pair_sum(self.upper_blocks(i0, i1), p, expo, self.h, i1)
 
     def dyadic_dists(self, j: int) -> np.ndarray:
         if self.depth is None:
@@ -265,6 +272,33 @@ class VectorPath:
         stride = 1 << (self.depth - j)
         vals = self.values[::stride]
         return np.linalg.norm(np.diff(vals, axis=0), axis=1)
+
+
+def _upper_blocks(grid, i0: int, i1: int):
+    """(r0, dist) per block of _BLOCK rows of the window [i0, i1), streamed:
+    dist[u - r0, v - r0] = d(X_u, X_v) for rows u in [r0, r0 + _BLOCK) and
+    columns v in [r0, i1), which holds every pair u < v of those rows."""
+    for r0 in range(i0, i1, _BLOCK):
+        yield r0, grid.dist_block(r0, min(r0 + _BLOCK, i1), r0, i1)
+
+
+def _block_gaps(r0: int, rows: int, i1: int):
+    """Index gaps v - u over an upper block, with a mask of the pairs u < v;
+    masked-out gaps read 1 so that powers of them stay finite."""
+    gap = (np.arange(r0, i1)[None, :] - np.arange(r0, r0 + rows)[:, None]).astype(float)
+    mask = gap > 0
+    gap[~mask] = 1.0
+    return gap, mask
+
+
+def _pair_sum(blocks, p: float, expo: float, h: float, i1: int) -> float:
+    """sum over u < v of d(X_u, X_v)^p * ((v - u) h)^(-expo), one partial sum per block."""
+    parts = []
+    for r0, dist in blocks:
+        gap, mask = _block_gaps(r0, dist.shape[0], i1)
+        term = np.where(mask, dist**p * (gap * h) ** (-expo), 0.0)
+        parts.append(float(np.sum(term)))
+    return math.fsum(parts)
 
 
 def _as_grid(path):
@@ -293,8 +327,11 @@ def qvar_norm(path, q: float, window=None) -> float:
     a, b = _window_indices(grid, window)
     if b - a < 2:
         return 0.0
-    dist = grid.dist_matrix(a, b)
-    best = _kernels.partition_dp_max(np.ascontiguousarray(dist**q))
+    # partition_dp_max reads only the pairs u < v, which the upper blocks hold
+    w = np.zeros((b - a, b - a))
+    for r0, dist in grid.upper_blocks(a, b):
+        w[r0 - a:r0 - a + dist.shape[0], r0 - a:] = dist**q
+    best = _kernels.partition_dp_max(w)
     return best ** (1.0 / q)
 
 
@@ -305,12 +342,8 @@ def holder_norm(path, alpha: float, window=None) -> float:
     grid = _as_grid(path)
     a, b = _window_indices(grid, window)
     worst = 0.0
-    for r0 in range(a, b, _BLOCK):
-        r1 = min(r0 + _BLOCK, b)
-        dist = grid.dist_block(r0, r1, a, b)
-        gap = (np.arange(a, b)[None, :] - np.arange(r0, r1)[:, None]).astype(float)
-        mask = gap > 0
-        gap[~mask] = 1.0
+    for r0, dist in grid.upper_blocks(a, b):
+        gap, mask = _block_gaps(r0, dist.shape[0], b)
         ratios = np.where(mask, dist / (gap * grid.h) ** alpha, 0.0)
         worst = max(worst, float(np.max(ratios)))
     return worst

@@ -14,6 +14,11 @@ single-point field evaluation per stage.  The two kernel references at the
 end are the per-element loops that the NumPy kernels vectorise: one
 tensor product per Chen prefix row and one `np.max` per interval table
 entry.  The library must match all four bitwise.
+
+The three path-norm references recompute every pair distance per call,
+streaming row blocks or slicing the full distance matrix, where the
+library shares one set of upper-triangle block rows between the norms.
+The library must match them bitwise too.
 """
 
 import itertools
@@ -188,3 +193,47 @@ def interval_dp_table_per_cell(w):
         for b in range(a + 1, n):
             row[b] = np.max(row[a:b] + w[a:b, b])
     return T
+
+
+_BLOCK = 128
+
+
+def holder_norm_streaming(grid, alpha, a, b):
+    """Hoelder norm over the index window [a, b), full-width row blocks."""
+    worst = 0.0
+    for r0 in range(a, b, _BLOCK):
+        r1 = min(r0 + _BLOCK, b)
+        dist = grid.dist_block(r0, r1, a, b)
+        gap = (np.arange(a, b)[None, :] - np.arange(r0, r1)[:, None]).astype(float)
+        mask = gap > 0
+        gap[~mask] = 1.0
+        ratios = np.where(mask, dist / (gap * grid.h) ** alpha, 0.0)
+        worst = max(worst, float(np.max(ratios)))
+    return worst
+
+
+def qvar_norm_full_matrix(grid, q, a, b):
+    """q-variation over [a, b) from the window of the full distance matrix."""
+    if b - a < 2:
+        return 0.0
+    dist = grid.dist_matrix(a, b)
+    best = _fallback.partition_dp_max(np.ascontiguousarray(dist**q))
+    return best ** (1.0 / q)
+
+
+def sobolev_norm_integral_streaming(grid, alpha, p, a, b):
+    """Integral Sobolev norm over [a, b), pair sum streamed in row blocks."""
+    if b - a < 2:
+        return 0.0
+    expo, h = alpha * p + 1.0, grid.h
+    parts = []
+    for r0 in range(a, b, _BLOCK):
+        r1 = min(r0 + _BLOCK, b)
+        dist = grid.dist_block(r0, r1, r0, b)
+        gap = (np.arange(r0, b)[None, :] - np.arange(r0, r1)[:, None]).astype(float)
+        mask = gap > 0
+        gap[~mask] = 1.0
+        term = np.where(mask, dist**p * (gap * h) ** (-expo), 0.0)
+        parts.append(float(np.sum(term)))
+    s = math.fsum(parts)
+    return (2.0 * s * h * h) ** (1.0 / p)

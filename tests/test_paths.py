@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sobrough import _kernels
 from sobrough import algebra as A
 from sobrough import paths as P
 
@@ -322,3 +323,81 @@ class TestWindowMonotonicity:
                    lambda w: P.inhom_qvar_dist(X1, X2, ALPHA, window=w)[1]):
             vals = [fn(w) for w in windows]
             assert vals[0] <= vals[1] <= vals[2]
+
+
+def _norm_windows(J):
+    """Whole path, then a window starting at 0 or at 128 (aligned with the
+    distance blocks at J=9), then one starting inside a block."""
+    if J < 4:
+        return [None, (0.0, 0.5), (0.5, 1.0)]
+    return [None, (0.25, 0.75), (0.3125, 0.875)]
+
+
+_NORMS = {
+    "holder": lambda X, w: P.holder_norm(X, ALPHA, window=w),
+    "integral": lambda X, w: P.sobolev_norm_integral(X, ALPHA, PP, window=w),
+    "qvar": lambda X, w: P.qvar_norm(X, 1.0 / ALPHA, window=w),
+}
+
+
+def _reference_norms(grid, window):
+    a, b = 0, grid.n_nodes
+    if window is not None:
+        a, b = grid.index_of(window[0]), grid.index_of(window[1]) + 1
+    return {
+        "holder": oracles.holder_norm_streaming(grid, ALPHA, a, b).hex(),
+        "integral": oracles.sobolev_norm_integral_streaming(grid, ALPHA, PP, a, b).hex(),
+        "qvar": oracles.qvar_norm_full_matrix(grid, 1.0 / ALPHA, a, b).hex(),
+    }
+
+
+@pytest.mark.skipif(_kernels.BACKEND != "python",
+                    reason="the compiled pair sum is Kahan-compensated; the references are the NumPy loops")
+class TestSharedPairDistances:
+    """Whole-path norms share one cached set of upper distance block rows.
+    Each norm must equal its per-call reference bitwise, whichever norm
+    runs first and with the cache off."""
+
+    ORDERS = (("holder", "integral", "qvar"), ("integral", "qvar", "holder"))
+
+    def _check(self, monkeypatch, make, J):
+        for window in _norm_windows(J):
+            expected = _reference_norms(make(), window)
+            for cap in (P._CACHE_MAX_NODES, 0):
+                monkeypatch.setattr(P, "_CACHE_MAX_NODES", cap)
+                for order in self.ORDERS:
+                    X = make()
+                    got = {name: _NORMS[name](X, window).hex() for name in order}
+                    assert got == expected, (window, cap, order)
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 7, 9])
+    @pytest.mark.parametrize("d,N", [(1, 1), (2, 2), (3, 2), (2, 3)])
+    def test_group_path_norms_bitwise(self, monkeypatch, J, d, N):
+        rng = np.random.default_rng(100 * J + 10 * d + N)
+        pts = np.vstack([np.zeros(d), np.cumsum(0.1 * rng.standard_normal(((1 << J), d)), axis=0)])
+        self._check(monkeypatch, lambda: P.SampledRoughPath.from_samples(pts, N, ALPHA, PP), J)
+
+    @pytest.mark.parametrize("J", [3, 9])
+    def test_vector_path_norms_bitwise(self, monkeypatch, J):
+        vals = np.random.default_rng(J).standard_normal(((1 << J) + 1, 2))
+        self._check(monkeypatch, lambda: P.VectorPath(vals), J)
+
+    def test_whole_path_norms_share_read_only_rows(self):
+        X = walk_path(61, depth=8)
+        n = X.n_nodes
+        P.holder_norm(X, ALPHA)
+        blocks = X._upper_cache
+        assert [r0 for r0, _ in blocks] == [0, 128, 256]
+        for r0, dist in blocks:
+            assert dist.shape == (min(128, n - r0), n - r0)
+            assert not dist.flags.writeable
+        P.qvar_norm(X, 1.0 / ALPHA)
+        P.sobolev_norm_integral(X, ALPHA, PP)
+        assert X._upper_cache is blocks
+        assert X._dist_cache is None
+
+    def test_integral_norm_alone_caches_nothing(self):
+        X = walk_path(62, depth=8)
+        P.sobolev_norm_integral(X, ALPHA, PP)
+        assert X._upper_cache is None
+        assert X._dist_cache is None
