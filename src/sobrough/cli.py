@@ -256,13 +256,12 @@ def norm(alpha, p_, level, depth, seed, config_path, out, csv):
         results["holder"] = holder_norm(X, cfg.alpha)
     else:
         dy = sobolev_norm_dyadic(X, cfg.alpha, cfg.p)
-        # the Hoelder norm caches the pair distances that the integral norm reads
-        holder = holder_norm(X, cfg.alpha)
+        qvar = qvar_norm(X, 1.0 / cfg.alpha)  # first: it keeps the pair distances
         results["sobolev_integral"] = sobolev_norm_integral(X, cfg.alpha, cfg.p)
         results["sobolev_dyadic"] = dy.value
         results["sobolev_dyadic_tail"] = dy.tail
-        results["holder"] = holder
-        results["qvar"] = qvar_norm(X, 1.0 / cfg.alpha)
+        results["holder"] = holder_norm(X, cfg.alpha)
+        results["qvar"] = qvar
     prov = {f"results.{k}": "computed" for k in results if k != "input"}
     write_report(build_report(cfg.echo("norm", csv=csv), results, prov), out)
 

@@ -154,29 +154,22 @@ class SampledRoughPath:
         return _kernels.hom_dist_matrix(self.nodes, self.inv_nodes,
                                         self.alg.dim, self.alg.level, i0, i1)
 
-    def upper_blocks(self, i0: int, i1: int):
+    def upper_blocks(self, i0: int, i1: int, keep: bool = False):
         """Distance block rows covering the pairs i0 <= u < v < i1; see _upper_blocks.
 
-        On the whole grid of up to _CACHE_MAX_NODES nodes the blocks are
-        computed once and kept read-only, n^2/2 floats in all, so the Hoelder
-        norm, the q-variation and the integral norm share them."""
-        if (i0, i1) != (0, self.n_nodes) or self.n_nodes > _CACHE_MAX_NODES:
+        keep=True on the whole grid of up to _CACHE_MAX_NODES nodes computes
+        the blocks once and keeps them read-only, n^2/2 floats in all. Later
+        whole-grid calls return the kept blocks; without them, calls stream."""
+        whole = (i0, i1) == (0, self.n_nodes)
+        if whole and self._upper_cache is not None:
+            return self._upper_cache
+        if not (keep and whole and self.n_nodes <= _CACHE_MAX_NODES):
             return _upper_blocks(self, i0, i1)
-        if self._upper_cache is None:
-            blocks = list(_upper_blocks(self, i0, i1))
-            for _, dist in blocks:
-                dist.setflags(write=False)
-            self._upper_cache = blocks
-        return self._upper_cache
-
-    def pair_sum(self, p: float, expo: float, i0: int, i1: int) -> float:
-        # Only reads cached blocks: building them for the integral norm alone
-        # would hold n^2/2 floats that streaming does without.
-        if self._upper_cache is not None and (i0, i1) == (0, self.n_nodes):
-            return _pair_sum(self._upper_cache, p, expo, self.h, i1)
-        return _kernels.sobolev_pair_sum(self.nodes, self.inv_nodes,
-                                         self.alg.dim, self.alg.level,
-                                         p, expo, self.h, i0, i1)
+        blocks = list(_upper_blocks(self, i0, i1))
+        for _, dist in blocks:
+            dist.setflags(write=False)
+        self._upper_cache = blocks
+        return blocks
 
     def dyadic_increments(self, j: int) -> np.ndarray:
         """Packed increments over the 2^j intervals of dyadic level j."""
@@ -260,11 +253,8 @@ class VectorPath:
     def dist_matrix(self, i0: int, i1: int) -> np.ndarray:
         return self.dist_block(i0, i1, i0, i1)
 
-    def upper_blocks(self, i0: int, i1: int):
+    def upper_blocks(self, i0: int, i1: int, keep: bool = False):
         return _upper_blocks(self, i0, i1)
-
-    def pair_sum(self, p: float, expo: float, i0: int, i1: int) -> float:
-        return _pair_sum(self.upper_blocks(i0, i1), p, expo, self.h, i1)
 
     def dyadic_dists(self, j: int) -> np.ndarray:
         if self.depth is None:
@@ -291,12 +281,13 @@ def _block_gaps(r0: int, rows: int, i1: int):
     return gap, mask
 
 
-def _pair_sum(blocks, p: float, expo: float, h: float, i1: int) -> float:
-    """sum over u < v of d(X_u, X_v)^p * ((v - u) h)^(-expo), one partial sum per block."""
+def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
+    """sum over i0 <= u < v < i1 of d(X_u, X_v)^p * ((v - u) h)^(-expo),
+    one partial sum per block row."""
     parts = []
-    for r0, dist in blocks:
+    for r0, dist in grid.upper_blocks(i0, i1):
         gap, mask = _block_gaps(r0, dist.shape[0], i1)
-        term = np.where(mask, dist**p * (gap * h) ** (-expo), 0.0)
+        term = np.where(mask, dist**p * (gap * grid.h) ** (-expo), 0.0)
         parts.append(float(np.sum(term)))
     return math.fsum(parts)
 
@@ -320,7 +311,12 @@ def _window_indices(grid, window) -> tuple[int, int]:
 # ---------------------------------------------------------------------- norms
 
 def qvar_norm(path, q: float, window=None) -> float:
-    """q-variation over grid partitions of the window, by dynamic programming."""
+    """q-variation over grid partitions of the window, by dynamic programming.
+
+    On a whole path of up to _CACHE_MAX_NODES nodes this keeps the pair
+    distances (SampledRoughPath.upper_blocks), and holder_norm and
+    sobolev_norm_integral called after it on the same path read them
+    instead of computing them again."""
     if q < 1:
         raise PathError(f"q={q} must be >= 1")
     grid = _as_grid(path)
@@ -329,14 +325,17 @@ def qvar_norm(path, q: float, window=None) -> float:
         return 0.0
     # partition_dp_max reads only the pairs u < v, which the upper blocks hold
     w = np.zeros((b - a, b - a))
-    for r0, dist in grid.upper_blocks(a, b):
+    for r0, dist in grid.upper_blocks(a, b, keep=True):
         w[r0 - a:r0 - a + dist.shape[0], r0 - a:] = dist**q
     best = _kernels.partition_dp_max(w)
     return best ** (1.0 / q)
 
 
 def holder_norm(path, alpha: float, window=None) -> float:
-    """max over grid pairs u < v of d(X_u, X_v) / (v - u)^alpha."""
+    """max over grid pairs u < v of d(X_u, X_v) / (v - u)^alpha.
+
+    Reads the pair distances that qvar_norm kept for the same path, and
+    otherwise streams them without keeping any."""
     if not (0.0 < alpha < 1.0):
         raise PathError(f"alpha={alpha} outside (0, 1)")
     grid = _as_grid(path)
@@ -363,7 +362,7 @@ def sobolev_norm_integral(path, alpha: float, p: float, window=None) -> float:
     a, b = _window_indices(grid, window)
     if b - a < 2:
         return 0.0
-    s = grid.pair_sum(p, alpha * p + 1.0, a, b)
+    s = _pair_sum(grid, p, alpha * p + 1.0, a, b)
     return (2.0 * s * grid.h * grid.h) ** (1.0 / p)
 
 

@@ -26,6 +26,7 @@ import math
 
 import numpy as np
 
+import sobrough._kernels
 from sobrough._kernels import _fallback
 from sobrough.controlled import (ControlledPath, compose_smooth, controlled_norm,
                                  rough_integral)
@@ -217,7 +218,7 @@ def qvar_norm_full_matrix(grid, q, a, b):
     if b - a < 2:
         return 0.0
     dist = grid.dist_matrix(a, b)
-    best = _fallback.partition_dp_max(np.ascontiguousarray(dist**q))
+    best = sobrough._kernels.partition_dp_max(np.ascontiguousarray(dist**q))
     return best ** (1.0 / q)
 
 

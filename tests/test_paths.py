@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sobrough import _kernels
 from sobrough import algebra as A
 from sobrough import paths as P
 
@@ -351,14 +350,13 @@ def _reference_norms(grid, window):
     }
 
 
-@pytest.mark.skipif(_kernels.BACKEND != "python",
-                    reason="the compiled pair sum is Kahan-compensated; the references are the NumPy loops")
 class TestSharedPairDistances:
-    """Whole-path norms share one cached set of upper distance block rows.
-    Each norm must equal its per-call reference bitwise, whichever norm
-    runs first and with the cache off."""
+    """A whole-path q-variation keeps the upper distance block rows, and the
+    Hoelder and integral norms after it read them.  Each norm must equal its
+    per-call reference bitwise, whether q-variation runs first or last and
+    with the cache off."""
 
-    ORDERS = (("holder", "integral", "qvar"), ("integral", "qvar", "holder"))
+    ORDERS = (("qvar", "holder", "integral"), ("integral", "holder", "qvar"))
 
     def _check(self, monkeypatch, make, J):
         for window in _norm_windows(J):
@@ -385,19 +383,20 @@ class TestSharedPairDistances:
     def test_whole_path_norms_share_read_only_rows(self):
         X = walk_path(61, depth=8)
         n = X.n_nodes
-        P.holder_norm(X, ALPHA)
+        P.qvar_norm(X, 1.0 / ALPHA)
         blocks = X._upper_cache
         assert [r0 for r0, _ in blocks] == [0, 128, 256]
         for r0, dist in blocks:
             assert dist.shape == (min(128, n - r0), n - r0)
             assert not dist.flags.writeable
-        P.qvar_norm(X, 1.0 / ALPHA)
+        P.holder_norm(X, ALPHA)
         P.sobolev_norm_integral(X, ALPHA, PP)
         assert X._upper_cache is blocks
         assert X._dist_cache is None
 
-    def test_integral_norm_alone_caches_nothing(self):
+    @pytest.mark.parametrize("name", ["holder", "integral"])
+    def test_norm_alone_caches_nothing(self, name):
         X = walk_path(62, depth=8)
-        P.sobolev_norm_integral(X, ALPHA, PP)
+        _NORMS[name](X, None)
         assert X._upper_cache is None
         assert X._dist_cache is None
