@@ -1,23 +1,14 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-NumPy fallback.
+"""Best-of-k times of the NumPy kernels on the hot paths.
 
-Run after building the extension in place:
-
-    python3 setup.py build_ext --inplace
-    python3 benchmarks/bench_kernels.py
+    PYTHONPATH=src python3 benchmarks/bench_kernels.py
 """
 
 import time
 
 import numpy as np
 
-from sobrough._kernels import _fallback
-
-try:
-    from sobrough._kernels import _speedups
-except ImportError:
-    _speedups = None
-
+from sobrough import _kernels as K
 from sobrough import algebra as A
 
 
@@ -40,35 +31,28 @@ def timeit(fn, repeats=3):
 def cases():
     d, N = 2, 2
     nodes = group_batch(1025, d, N)
-    inv_py = _fallback.inverse_batch(nodes, d, N)
+    inv = K.inverse_batch(nodes, d, N)
     w = np.random.default_rng(1).random((257, 257))
     wbig = np.random.default_rng(2).random((513, 513))
 
     yield ("chen_prefix (256 products, d=2, N=2)",
-           lambda m: m.chen_prefix(np.ascontiguousarray(nodes[:256]), d, N))
+           lambda: K.chen_prefix(np.ascontiguousarray(nodes[:256]), d, N))
     yield ("inverse_batch (1025 nodes)",
-           lambda m: m.inverse_batch(nodes, d, N))
+           lambda: K.inverse_batch(nodes, d, N))
     yield ("hom_dist_matrix (513x513)",
-           lambda m: m.hom_dist_matrix(nodes[:513], inv_py[:513], d, N, 0, 513))
+           lambda: K.hom_dist_matrix(nodes[:513], inv[:513], d, N, 0, 513))
     yield ("sobolev_pair_sum (1025 nodes)",
-           lambda m: m.sobolev_pair_sum(nodes, inv_py, d, N, 4.0, 2.6, 1 / 1024, 0, 1025))
+           lambda: K.sobolev_pair_sum(nodes, inv, d, N, 4.0, 2.6, 1 / 1024, 0, 1025))
     yield ("partition_dp_max (513 points)",
-           lambda m: m.partition_dp_max(wbig))
+           lambda: K.partition_dp_max(wbig))
     yield ("interval_dp_table (257 points)",
-           lambda m: m.interval_dp_table(w))
+           lambda: K.interval_dp_table(w))
 
 
 def main():
-    if _speedups is None:
-        print("compiled kernels unavailable; showing fallback timings only")
-    print(f"{'kernel':44s} {'numpy':>10s} {'compiled':>10s} {'speedup':>8s}")
+    print(f"{'kernel':44s} {'numpy':>10s}")
     for name, call in cases():
-        t_py = timeit(lambda: call(_fallback))
-        if _speedups is not None:
-            t_cy = timeit(lambda: call(_speedups))
-            print(f"{name:44s} {t_py * 1e3:9.1f}ms {t_cy * 1e3:9.1f}ms {t_py / t_cy:7.1f}x")
-        else:
-            print(f"{name:44s} {t_py * 1e3:9.1f}ms {'-':>10s} {'-':>8s}")
+        print(f"{name:44s} {timeit(call) * 1e3:9.1f}ms")
 
 
 if __name__ == "__main__":

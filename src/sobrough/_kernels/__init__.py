@@ -1,34 +1,12 @@
-"""Kernel backend selection.
+"""The hot kernels, implemented once in NumPy (``_fallback``).
 
-The compiled Cython module is preferred; the pure-NumPy fallback is
-used when it is missing or when ``SOBROUGH_BACKEND=python``.
+The library calls them through this package.  They live in their own
+module so that a wrapper around a name here (the benchmark's tracer) does
+not also wrap the calls one kernel makes to another.
 """
 
-import os
+from ._fallback import (chen_prefix, hom_dist_block, hom_dist_matrix, interval_dp_table,
+                        inverse_batch, level_diff_block, level_layout, partition_dp_max,
+                        rowwise_mul, sobolev_pair_sum)
 
-_forced = os.environ.get("SOBROUGH_BACKEND", "").strip().lower()
-
-if _forced == "python":
-    from . import _fallback as impl
-    BACKEND = "python"
-elif _forced == "compiled":
-    from . import _speedups as impl  # raises if unavailable, on purpose
-    BACKEND = "compiled"
-else:
-    try:
-        from . import _speedups as impl
-        BACKEND = "compiled"
-    except ImportError:
-        from . import _fallback as impl
-        BACKEND = "python"
-
-level_layout = impl.level_layout
-rowwise_mul = impl.rowwise_mul
-chen_prefix = impl.chen_prefix
-inverse_batch = impl.inverse_batch
-hom_dist_block = impl.hom_dist_block
-hom_dist_matrix = impl.hom_dist_matrix
-level_diff_block = impl.level_diff_block
-sobolev_pair_sum = impl.sobolev_pair_sum
-partition_dp_max = impl.partition_dp_max
-interval_dp_table = impl.interval_dp_table
+BACKEND = "python"

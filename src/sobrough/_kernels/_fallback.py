@@ -1,7 +1,5 @@
-"""Pure-NumPy implementations of the hot kernels.
+"""The NumPy implementations of the hot kernels, re-exported by ``_kernels``.
 
-Mirrors the API of the compiled module ``_speedups``; used when the
-extension is unavailable or when ``SOBROUGH_BACKEND=python`` is set.
 All arrays are C-contiguous float64.  Tensor coefficients are packed
 level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 """

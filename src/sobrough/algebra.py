@@ -119,12 +119,6 @@ def zero(alg: TensorAlgebra) -> TruncatedTensor:
     return TruncatedTensor(alg, np.zeros(alg.length))
 
 
-def unit(alg: TensorAlgebra) -> TruncatedTensor:
-    data = np.zeros(alg.length)
-    data[0] = 1.0
-    return TruncatedTensor(alg, data)
-
-
 class GroupElement(TruncatedTensor):
     """Tensor with scalar level exactly 1; levels 1..N carry the increments."""
 

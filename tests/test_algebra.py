@@ -17,9 +17,12 @@ class TestTensorMul:
     def test_identity_element(self, rng):
         alg = make_alg(2, 3)
         b = random_tensor(alg, rng)
-        out = A.tensor_mul(A.unit(alg), b)
+        data = np.zeros(alg.length)
+        data[0] = 1.0
+        one = A.TruncatedTensor(alg, data)
+        out = A.tensor_mul(one, b)
         assert np.array_equal(out.data, b.data)
-        out = A.tensor_mul(b, A.unit(alg))
+        out = A.tensor_mul(b, one)
         assert np.array_equal(out.data, b.data)
 
     def test_exp_product_level2(self):

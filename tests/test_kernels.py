@@ -1,26 +1,27 @@
-"""The pure-NumPy kernels against their per-element reference loops, and
-parity between the compiled kernels and the fallback."""
+"""The NumPy kernels against their per-element reference loops, and the
+pair kernels against increments built pair by pair with `algebra`."""
+
+import math
 
 import numpy as np
 import pytest
 
+from sobrough import algebra as A
 from sobrough._kernels import _fallback
 
 from oracles import chen_prefix_per_row, interval_dp_table_per_cell
 
-try:
-    from sobrough._kernels import _speedups
-except ImportError:
-    _speedups = None
-
-needs_compiled = pytest.mark.skipif(_speedups is None, reason="compiled kernels unavailable")
-
 
 def random_group_batch(rng, n, d, N):
-    from sobrough import algebra as A
     alg = A.TensorAlgebra(d, N)
     rows = [A.random_group_element(alg, rng).data for _ in range(n)]
     return np.ascontiguousarray(np.stack(rows)), alg
+
+
+def increments(nodes, alg):
+    """inc[u][v] = nodes[u]⁻¹ ⊗ nodes[v], one `algebra.increment` per pair."""
+    g = [A.GroupElement(alg, row) for row in nodes]
+    return [[A.increment(gu, gv) for gv in g] for gu in g]
 
 
 class TestFallbackMatchesLoops:
@@ -79,63 +80,38 @@ class TestFallbackMatchesLoops:
         assert _fallback.interval_dp_table(w)[0, -1] == _fallback.partition_dp_max(w)
 
 
-@needs_compiled
-class TestParity:
-    @pytest.mark.parametrize("d,N", [(1, 2), (2, 2), (3, 3), (2, 4)])
-    def test_layout(self, d, N):
-        off_a, sz_a = _fallback.level_layout(d, N)
-        off_b, sz_b = _speedups.level_layout(d, N)
-        assert np.array_equal(off_a, off_b) and np.array_equal(sz_a, sz_b)
-
-    @pytest.mark.parametrize("d,N", [(2, 2), (3, 3), (2, 4)])
-    def test_rowwise_mul(self, rng, d, N):
-        a, alg = random_group_batch(rng, 5, d, N)
-        b, _ = random_group_batch(rng, 5, d, N)
-        assert np.allclose(_fallback.rowwise_mul(a, b, d, N),
-                           _speedups.rowwise_mul(a, b, d, N), atol=1e-14)
-
-    def test_chen_prefix(self, rng):
-        segs, alg = random_group_batch(rng, 16, 2, 3)
-        assert np.allclose(_fallback.chen_prefix(segs, 2, 3),
-                           _speedups.chen_prefix(segs, 2, 3), atol=1e-12)
-
-    def test_inverse_batch(self, rng):
-        nodes, alg = random_group_batch(rng, 8, 2, 3)
-        assert np.allclose(_fallback.inverse_batch(nodes, 2, 3),
-                           _speedups.inverse_batch(nodes, 2, 3), atol=1e-13)
-
-    def test_hom_dist(self, rng):
-        nodes, alg = random_group_batch(rng, 12, 2, 2)
-        inv = _speedups.inverse_batch(nodes, 2, 2)
-        a = _fallback.hom_dist_block(inv, nodes, 2, 2)
-        b = _speedups.hom_dist_block(inv, nodes, 2, 2)
-        assert np.allclose(a, b, atol=1e-13)
-        am = _fallback.hom_dist_matrix(nodes, inv, 2, 2, 2, 10)
-        bm = _speedups.hom_dist_matrix(nodes, inv, 2, 2, 2, 10)
-        assert np.allclose(am, bm, atol=1e-13)
-
-    def test_level_diff(self, rng):
-        n1, _ = random_group_batch(rng, 9, 2, 2)
-        n2, _ = random_group_batch(rng, 9, 2, 2)
-        i1 = _speedups.inverse_batch(n1, 2, 2)
-        i2 = _speedups.inverse_batch(n2, 2, 2)
-        for k in (1, 2):
-            a = _fallback.level_diff_block(i1, n1, i2, n2, 2, 2, k)
-            b = _speedups.level_diff_block(i1, n1, i2, n2, 2, 2, k)
-            assert np.allclose(a, b, atol=1e-13)
+class TestPairKernelsMatchAlgebra:
+    @pytest.mark.parametrize("case", ["hom_dist_block", "hom_dist_matrix",
+                                      "level_diff_block-1", "level_diff_block-2"])
+    def test_pairs(self, rng, case):
+        d, N = 2, 2
+        if case.startswith("level_diff_block"):
+            k = int(case[-1])
+            n1, alg = random_group_batch(rng, 9, d, N)
+            n2, _ = random_group_batch(rng, 9, d, N)
+            got = _fallback.level_diff_block(_fallback.inverse_batch(n1, d, N), n1,
+                                             _fallback.inverse_batch(n2, d, N), n2, d, N, k)
+            want = [[np.linalg.norm(a.coeffs(k) - b.coeffs(k)) for a, b in zip(r1, r2)]
+                    for r1, r2 in zip(increments(n1, alg), increments(n2, alg))]
+        else:
+            nodes, alg = random_group_batch(rng, 12, d, N)
+            inv = _fallback.inverse_batch(nodes, d, N)
+            want = np.array([[A.homogeneous_norm(g) for g in row]
+                             for row in increments(nodes, alg)])
+            if case == "hom_dist_block":
+                got = _fallback.hom_dist_block(inv, nodes, d, N)
+            else:
+                got = _fallback.hom_dist_matrix(nodes, inv, d, N, 2, 10)
+                want = want[2:10, 2:10]
+        assert got.shape == np.shape(want)
+        assert np.allclose(got, want, atol=1e-13)
 
     def test_sobolev_pair_sum(self, rng):
         nodes, alg = random_group_batch(rng, 17, 2, 2)
-        inv = _speedups.inverse_batch(nodes, 2, 2)
-        a = _fallback.sobolev_pair_sum(nodes, inv, 2, 2, 4.0, 2.6, 1 / 16, 0, 17)
-        b = _speedups.sobolev_pair_sum(nodes, inv, 2, 2, 4.0, 2.6, 1 / 16, 0, 17)
-        assert a == pytest.approx(b, rel=1e-12)
-
-    def test_partition_dp(self, rng):
-        w = rng.random((20, 20))
-        assert _fallback.partition_dp_max(w) == _speedups.partition_dp_max(w)
-
-    def test_interval_dp_table(self, rng):
-        w = rng.random((15, 15))
-        assert np.array_equal(_fallback.interval_dp_table(w),
-                              _speedups.interval_dp_table(w))
+        inv = _fallback.inverse_batch(nodes, 2, 2)
+        p, expo, h = 4.0, 2.6, 1 / 16
+        inc = increments(nodes, alg)
+        want = math.fsum(A.homogeneous_norm(inc[u][v]) ** p * ((v - u) * h) ** (-expo)
+                         for u in range(17) for v in range(u + 1, 17))
+        got = _fallback.sobolev_pair_sum(nodes, inv, 2, 2, p, expo, h, 0, 17)
+        assert got == pytest.approx(want, rel=1e-12)
