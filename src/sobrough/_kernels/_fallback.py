@@ -165,7 +165,9 @@ def interval_dp_table(w):
     once, one diagonal g = 1, …, n−1 at a time.  Both operands are strided
     views with step n+1 between rows: T itself, and w transposed so that
     the reads along j are contiguous.  np.max gives the same result in any
-    order, so the table is that of one np.max per entry."""
+    order, so the table is that of one np.max per entry.  A caller whose
+    `w.T` is already C-contiguous (a column-major `w`) avoids the transposed
+    copy, one (n, n) array."""
     n = w.shape[0]
     T = np.zeros((n, n))
     wT = np.ascontiguousarray(w.T, dtype=np.float64)

@@ -7,6 +7,13 @@ A controlled pair (Y, Y') has Y on the grid with values of any shape
 ``vshape`` and Y' of shape ``vshape + (d,)``; the remainder is
 R_{s,t} = Y_t - Y_s - Y'_s x_{s,t} with x the level-1 driver increment.
 Integration requires values in L(R^d, R^w), i.e. vshape = (w, d).
+
+The public `remainder` and `rough_integral` store remainders on all grid
+pairs, (n, n, ...) arrays.  The Picard solver needs neither: each of its
+iterations builds the integral path (`_integral_values`, O(n)) and the
+remainder on the dyadic intervals (`_dyadic_remainder`, O(n log n)), which
+is all ||R||_hatW reads.  `controlled_norm` builds the pair remainder only
+when it must evaluate the O(n^3) ||R||_tildeV term.
 """
 
 from __future__ import annotations
@@ -77,6 +84,23 @@ def remainder(cp: ControlledPath) -> IntervalFunction:
     return cp._remainder
 
 
+def _dyadic_remainder(cp: ControlledPath) -> IntervalFunction:
+    """R^Y on the dyadic intervals [u, u+s] only, with the same float
+    operations per interval as remainder(); reuses the pair remainder when
+    it is already built."""
+    if cp._remainder is not None:
+        return cp._remainder
+    X = cp.X
+    x1 = X.nodes[:, X.alg.slice(1)]
+    levels = []
+    for j in range(X.depth + 1):
+        stride = 1 << (X.depth - j)
+        xinc = x1[stride::stride] - x1[:-1:stride]      # (2^j, d)
+        lin = np.einsum("u...j,uj->u...", cp.Yprime[:-1:stride], xinc)
+        levels.append(cp.Y[stride::stride] - cp.Y[:-1:stride] - lin)
+    return IntervalFunction.from_dyadic(levels)
+
+
 def remainder_norm_tildeV(R: IntervalFunction, alpha: float, p: float) -> float:
     """Mixed variation norm of a two-parameter function:
 
@@ -89,14 +113,16 @@ def remainder_norm_tildeV(R: IntervalFunction, alpha: float, p: float) -> float:
     if n < 2:
         return 0.0
     # (n, n) work arrays are updated in place, with the same float operations
-    # as the out-of-place expressions in the comments, to bound peak memory
+    # as the out-of-place expressions in the comments, to bound peak memory;
+    # w is column-major, so interval_dp_table reads w.T without a copy
     w = R.pair_norms()
     w **= 1.0 / (2.0 * alpha)                          # mags ** (1 / (2 alpha))
-    inner = _kernels.interval_dp_table(np.ascontiguousarray(w))
+    inner = _kernels.interval_dp_table(w)
     del w
     # inner[u,v]^(2 alpha) is the 1/(2 alpha)-variation of R over [u, v]
     h = 1.0 / (n - 1)
-    gaps = (np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
+    idx = np.arange(n, dtype=np.float64)
+    gaps = idx[None, :] - idx[:, None]
     np.fill_diagonal(gaps, 1.0)
     gaps *= h
     np.abs(gaps, out=gaps)
@@ -129,16 +155,18 @@ def controlled_norm(cp: ControlledPath, alpha: float | None = None,
     Every term is >= 0 and rounding is monotone, so the sum without the
     O(n^3) ||R||_tildeV term never exceeds the full sum.  When that partial
     sum already reaches `cutoff` it is returned and ||R||_tildeV is not
-    computed; a result below `cutoff` is always the full norm."""
+    computed; a result below `cutoff` is always the full norm.
+
+    ||R||_hatW reads the dyadic remainders only; the pair remainder is built
+    only for ||R||_tildeV."""
     alpha = cp.X.alpha if alpha is None else alpha
     p = cp.X.p if p is None else p
-    R = remainder(cp)
     yp = sobolev_norm_dyadic(VectorPath(cp.Yprime.reshape(cp.X.n_nodes, -1)), alpha, p).value
     head = float(np.linalg.norm(cp.Y[0])) + float(np.linalg.norm(cp.Yprime[0])) + yp
-    hat = remainder_norm_hatW(R, alpha, p)
+    hat = remainder_norm_hatW(_dyadic_remainder(cp), alpha, p)
     if head + hat >= cutoff:
         return head + hat
-    return head + remainder_norm_tildeV(R, alpha, p) + hat
+    return head + remainder_norm_tildeV(remainder(cp), alpha, p) + hat
 
 
 def compose_smooth(F: SmoothMap, cp: ControlledPath) -> ControlledPath:
@@ -175,6 +203,22 @@ def _compensated_terms(cp: ControlledPath, j: int) -> np.ndarray:
             + np.einsum("n...kj,njk->n...", Ypl, pi2))
 
 
+def _integral_values(cp: ControlledPath, X: SampledRoughPath) -> np.ndarray:
+    """The integral path I on the grid, I[0] = 0, without its remainder."""
+    if X is not cp.X:
+        raise PathError("integrand is controlled by a different driver")
+    if X.alg.level != 2:
+        raise PathError("rough integration needs a level-2 driver")
+    if X.depth == 0:
+        raise PathError("depth-0 grid admits no refinement")
+    if len(cp.vshape) < 2 or cp.vshape[-1] != X.alg.dim:
+        raise PathError(f"integrand values must lie in L(R^{X.alg.dim}, R^w), got vshape {cp.vshape}")
+    terms = _compensated_terms(cp, X.depth)
+    values = np.zeros((X.n_nodes,) + cp.vshape[:-1])
+    np.cumsum(terms, axis=0, out=values[1:])
+    return values
+
+
 def rough_integral(cp: ControlledPath, X: SampledRoughPath | None = None,
                    diagnostics: bool = True) -> RoughIntegral:
     """Rough integral of a controlled integrand with values in L(R^d, R^w),
@@ -185,18 +229,8 @@ def rough_integral(cp: ControlledPath, X: SampledRoughPath | None = None,
     The refinement diagnostic records the full-interval sums at every dyadic
     depth; on exact lifts their increments decay at the sewing rate."""
     X = cp.X if X is None else X
-    if X is not cp.X:
-        raise PathError("integrand is controlled by a different driver")
-    if X.alg.level != 2:
-        raise PathError("rough integration needs a level-2 driver")
-    if X.depth == 0:
-        raise PathError("depth-0 grid admits no refinement")
-    if len(cp.vshape) < 2 or cp.vshape[-1] != X.alg.dim:
-        raise PathError(f"integrand values must lie in L(R^{X.alg.dim}, R^w), got vshape {cp.vshape}")
-    terms = _compensated_terms(cp, X.depth)
+    values = _integral_values(cp, X)
     wshape = cp.vshape[:-1]
-    values = np.zeros((X.n_nodes,) + wshape)
-    np.cumsum(terms, axis=0, out=values[1:])
 
     x1 = X.nodes[:, X.alg.slice(1)]
     xinc = x1[None, :, :] - x1[:, None, :]

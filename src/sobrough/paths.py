@@ -557,11 +557,16 @@ class IntervalFunction:
         return self.pair[idx, idx + stride]
 
     def pair_norms(self) -> np.ndarray:
-        """(n, n) Euclidean magnitudes; requires full pair storage."""
+        """(n, n) Euclidean magnitudes; requires full pair storage.
+
+        The result is column-major (the transpose of a C-contiguous array),
+        so interval_dp_table reads it without a transposed copy."""
         if self.pair is None:
             raise PathError("this interval function stores dyadic values only")
         flat = self.pair.reshape(self.n_nodes, self.n_nodes, -1)
-        return np.sqrt(np.einsum("uvc,uvc->uv", flat, flat))
+        mags = np.einsum("uvc,uvc->vu", flat, flat, order="C")
+        np.sqrt(mags, out=mags)
+        return mags.T
 
     def __sub__(self, other: "IntervalFunction") -> "IntervalFunction":
         if self.n_nodes != other.n_nodes:

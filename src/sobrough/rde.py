@@ -16,8 +16,8 @@ import numpy as np
 
 from . import _kernels
 from .algebra import GroupElement
-from .controlled import (ControlledPath, SELF_TEST_TOL, compose_smooth,
-                         controlled_norm, rough_integral)
+from .controlled import (ControlledPath, SELF_TEST_TOL, _integral_values,
+                         compose_smooth, controlled_norm)
 from .fields import PolyVectorField
 from .paths import PathError, SampledRoughPath
 
@@ -98,8 +98,11 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
     """Fixed point of (Y, Y') -> (y0 + int V(Y) dX, V(Y)) at full grid depth,
     stopping when successive iterates differ by < tol in controlled norm.
 
-    Each iteration first sums the cheap terms of that norm, which bound it
-    from below; the full norm, with its O(n^3) ||R||_tildeV term, is
+    Each iteration builds the integral path and, for the residual, the
+    remainder of the difference pair on the dyadic intervals: O(n log n)
+    work and memory, no (n, n) array.  The residual first sums the cheap
+    terms of the controlled norm, which bound it from below; the full norm,
+    with its O(n^3) ||R||_tildeV term on the (n, n) pair remainder, is
     evaluated only when that bound is below `tol` or on the last iteration.
     The reported residual is always the full norm."""
     if X.alg.level != 2:
@@ -117,18 +120,17 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 integrand = compose_smooth(V, cp)
-                I = rough_integral(integrand, X, diagnostics=False)
+                values = _integral_values(integrand, X)
             except PathError as exc:
                 if "non-finite" in str(exc):
                     raise BlowUpError(it) from None
                 raise
-        Ynew = y0[None, :] + I.values
-        if not np.all(np.isfinite(Ynew)):
-            raise BlowUpError(it)
-        Ypnew = V.eval_batch(cp.Y)
-        nxt = ControlledPath(X, Ynew, Ypnew)
-        residual = controlled_norm(nxt.sub(cp),
-                                   cutoff=tol if it < max_iter else math.inf)
+            Ynew = y0[None, :] + values
+            if not np.all(np.isfinite(Ynew)):
+                raise BlowUpError(it)
+            nxt = ControlledPath(X, Ynew, V.eval_batch(cp.Y))
+            residual = controlled_norm(nxt.sub(cp),
+                                       cutoff=tol if it < max_iter else math.inf)
         cp = nxt
         if residual < tol:
             return RdeSolution(cp.Y, X.depth, "picard",

@@ -8,12 +8,14 @@ computation is shared while the partition search is enumerated from
 scratch.
 
 The two solver references are the straightforward loops that the
-library's solvers shortcut: Picard iteration with the full controlled
-norm on every iteration, and RK4 with one driver-derivative call and one
-single-point field evaluation per stage.  The two kernel references at the
-end are the per-element loops that the NumPy kernels vectorise: one
-tensor product per Chen prefix row and one `np.max` per interval table
-entry.  The library must match all four bitwise.
+library's solvers shortcut: Picard iteration through the public
+`rough_integral`, with the full controlled norm of every difference pair
+taken from its full pair remainder (`controlled_norm_pair`), and RK4 with
+one driver-derivative call and one single-point field evaluation per
+stage.  The two kernel references at the end are the per-element loops
+that the NumPy kernels vectorise: one tensor product per Chen prefix row
+and one `np.max` per interval table entry.  The library must match all
+four bitwise.
 
 The three path-norm references recompute every pair distance per call,
 streaming row blocks or slicing the full distance matrix, where the
@@ -28,8 +30,10 @@ import numpy as np
 
 import sobrough._kernels
 from sobrough._kernels import _fallback
-from sobrough.controlled import (ControlledPath, compose_smooth, controlled_norm,
+from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
+                                 remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
+from sobrough.paths import VectorPath, sobolev_norm_dyadic
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -117,6 +121,17 @@ def central_difference(fn, y: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return jac
 
 
+def controlled_norm_pair(cp):
+    """Full controlled norm with both remainder norms read from the full
+    pair remainder `remainder(cp)`."""
+    alpha, p = cp.X.alpha, cp.X.p
+    R = remainder(cp)
+    yp = sobolev_norm_dyadic(VectorPath(cp.Yprime.reshape(cp.X.n_nodes, -1)), alpha, p).value
+    head = float(np.linalg.norm(cp.Y[0])) + float(np.linalg.norm(cp.Yprime[0])) + yp
+    hat = remainder_norm_hatW(R, alpha, p)
+    return head + remainder_norm_tildeV(R, alpha, p) + hat
+
+
 def picard_full_norm(y0, V, X, tol: float = 1e-9, max_iter: int = 100):
     """Level-2 Picard iteration that evaluates the full controlled norm of
     every difference pair, built from public functions only.  Returns an
@@ -129,7 +144,7 @@ def picard_full_norm(y0, V, X, tol: float = 1e-9, max_iter: int = 100):
     for it in range(1, max_iter + 1):
         I = rough_integral(compose_smooth(V, cp), X, diagnostics=False)
         nxt = ControlledPath(X, y0[None, :] + I.values, V.eval_batch(cp.Y))
-        residual = controlled_norm(nxt.sub(cp))
+        residual = controlled_norm_pair(nxt.sub(cp))
         cp = nxt
         if residual < tol:
             return RdeSolution(cp.Y, X.depth, "picard",

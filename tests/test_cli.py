@@ -4,6 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from sobrough import cli
 from sobrough.cli import CsvError, InputError, RunConfig, ingest_csv, main
 from sobrough.report import load_schema
 
@@ -241,3 +242,26 @@ class TestExitCodes:
         code, _, _ = run_cli(["norm", "--csv", str(f), "--alpha", "0.2", "--p", "4"],
                              capsys)
         assert code == 1
+
+
+class TestIntegrate:
+    def test_pair_remainder_and_its_norms(self, monkeypatch, tmp_path):
+        results = []
+        original = cli.rough_integral
+
+        def spy(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(cli, "rough_integral", spy)
+        rng = np.random.default_rng(3)
+        f, out = tmp_path / "walk.csv", tmp_path / "report.json"
+        write_csv(f, np.linspace(0.0, 1.0, 129),
+                  np.vstack([np.zeros(2), np.cumsum(0.1 * rng.standard_normal((128, 2)), axis=0)]))
+        assert main(["integrate", "--csv", str(f), "--depth", "7", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        # the norms of the (n, n, w) pair remainder, as first reported
+        assert rep["results"]["remainder_tildeV"] == 2.439870641355982
+        assert rep["results"]["remainder_hatW"] == 2.5572752477633967
+        (res,) = results
+        assert res.remainder.pair.shape == (129, 129, 2)

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobrough import paths as P
-from sobrough.controlled import (ControlledPath, compose_smooth, controlled_norm,
-                                 coordinate_controlled, remainder,
+from sobrough.controlled import (ControlledPath, _dyadic_remainder, compose_smooth,
+                                 controlled_norm, coordinate_controlled, remainder,
                                  remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
 from sobrough.fields import PolyMap, PolyVectorField
@@ -47,6 +48,23 @@ class TestRemainder:
         R = remainder(cp)
         for (i, j) in [(0, 16), (3, 11), (7, 8)]:
             assert R.pair[i, j, 0] == pytest.approx((ts[j] - ts[i]) ** 2, rel=1e-12)
+
+
+class TestDyadicRemainder:
+    @pytest.mark.parametrize("vshape", [(2,), (3, 2)])
+    @pytest.mark.parametrize("J", [1, 5, 8])
+    def test_levels_bitwise_equal_to_pair_remainder(self, J, vshape):
+        X = lift_walk(J, depth=J, d=2)
+        rng = np.random.default_rng(J)
+        Y = rng.standard_normal((X.n_nodes,) + vshape)
+        Yp = rng.standard_normal((X.n_nodes,) + vshape + (2,))
+        dyadic = _dyadic_remainder(ControlledPath(X, Y, Yp))
+        cp = ControlledPath(X, Y, Yp)
+        pair = remainder(cp)
+        for j in range(J + 1):
+            assert dyadic.dyadic_level(j).tobytes() == pair.dyadic_level(j).tobytes()
+        # once the pair remainder exists, the dyadic levels are read from it
+        assert _dyadic_remainder(cp) is pair
 
 
 class TestRemainderNorms:
@@ -99,6 +117,22 @@ class TestRemainderNorms:
         a = remainder_norm_hatW(P.IntervalFunction.from_pair_matrix(3.0 * pair), ALPHA, PP)
         b = remainder_norm_hatW(P.IntervalFunction.from_pair_matrix(pair), ALPHA, PP)
         assert a == pytest.approx(3.0 * b, rel=1e-13)
+
+    def test_tildeV_transient_memory(self):
+        # magnitudes, the interval table and the per-diagonal scratch rows:
+        # about 2.25 (n, n) arrays beyond the input pair array, at most 2.5
+        n = (1 << 9) + 1
+        pair = np.triu(np.random.default_rng(5).random((n, n)), k=1)[:, :, None]
+        R = P.IntervalFunction.from_pair_matrix(pair)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            remainder_norm_tildeV(R, ALPHA, PP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.5 * n * n * 8
 
 
 class TestControlledNorm:

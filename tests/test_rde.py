@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,16 @@ ALPHA, PP = 0.4, 4.0
 def lift_line(depth, level=2):
     ts = np.linspace(0.0, 1.0, (1 << depth) + 1)[:, None]
     return P.SampledRoughPath.from_samples(ts, level, ALPHA, PP)
+
+
+def noncommuting_case(depth):
+    """(d, e) = (2, 2) linear field with non-commuting parts, on a trig driver."""
+    A = np.zeros((2, 2, 2))
+    A[:, 0, :] = [[0.0, 0.6], [0.0, 0.0]]
+    A[:, 1, :] = [[0.0, 0.0], [0.5, 0.0]]
+    V = PolyVectorField.linear(A, np.array([[0.3, 0.0], [0.0, 0.4]]))
+    X = lift_smooth(make_trig_driver(21, 2).samples(depth), 2, depth, ALPHA, PP)
+    return V, np.array([0.2, -0.1]), X
 
 
 class TestEulerStep:
@@ -124,6 +136,20 @@ class TestPicard:
         with pytest.raises(P.PathError):
             rde.solve_picard_level2(np.array([1.0]), V, X)
 
+    @pytest.mark.parametrize("scale, step", [(20.0, 9), (200.0, 8), (1e100, 2)])
+    def test_blow_up_step_without_warnings(self, scale, step):
+        # dy = y^2 dx, y0 = 1, x_t = scale * t: the solution blows up before t = 1
+        ts = scale * np.linspace(0.0, 1.0, (1 << 6) + 1)[:, None]
+        X = P.SampledRoughPath.from_samples(ts, 2, ALPHA, PP)
+        V = PolyVectorField.scalar([0.0, 0.0, 1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(rde.BlowUpError) as exc:
+                rde.solve_picard_level2(np.array([1.0]), V, X, max_iter=50)
+        assert exc.value.step == step
+        # overflow on the way to the blow-up stays inside the solver
+        assert [str(w.message) for w in caught] == []
+
     def test_nonconvergence_raises_with_residual(self):
         V = PolyVectorField.scalar([0.0, 5.0])
         X = lift_line(5)
@@ -150,15 +176,10 @@ class TestPicardStoppingTest:
         return calls
 
     def test_converging_matches_full_norm_loop(self, monkeypatch):
-        A = np.zeros((2, 2, 2))
-        A[:, 0, :] = [[0.0, 0.6], [0.0, 0.0]]
-        A[:, 1, :] = [[0.0, 0.0], [0.5, 0.0]]
         cases = [
             (PolyVectorField.scalar([0.2, 0.7]), np.array([0.4]),
              lift_smooth(make_trig_driver(5, 1).samples(6), 2, 6, ALPHA, PP)),
-            (PolyVectorField.linear(A, np.array([[0.3, 0.0], [0.0, 0.4]])),
-             np.array([0.2, -0.1]),
-             lift_smooth(make_trig_driver(21, 2).samples(5), 2, 5, ALPHA, PP)),
+            noncommuting_case(5), noncommuting_case(7), noncommuting_case(8),
         ]
         for V, y0, X in cases:
             ref = oracles.picard_full_norm(y0, V, X)
@@ -182,6 +203,44 @@ class TestPicardStoppingTest:
             assert exc.value.iterations == ref.value.iterations == max_iter
             # the residual carried by the error is always the full norm
             assert len(calls) >= 1
+
+    def test_windowed_matches_full_norm_loop(self):
+        V, y0, X = noncommuting_case(9)
+        idx = [0, 128, 256, 384, 512]
+        pieces, iters, y = [], [], y0
+        for a, b in zip(idx[:-1], idx[1:]):
+            ref = oracles.picard_full_norm(y, V, rde._window_subpath(X, a, b))
+            pieces.append(ref.values if a == 0 else ref.values[1:])
+            iters.append(ref.meta["iterations"])
+            y = ref.values[-1]
+        win = rde.windowed_solve(y0, V, X, splits=(0.25, 0.5, 0.75))
+        assert np.array_equal(win.values, np.vstack(pieces))
+        assert win.meta["iterations"] == iters
+
+
+class TestPicardWork:
+    """Each Picard iteration builds the integral path and the dyadic
+    remainders only; the (n, n) pair remainder exists only for ||R||_tildeV."""
+
+    def test_pair_arrays_built_only_for_tildeV(self, monkeypatch):
+        counts = {"rough_integral": 0, "remainder": 0, "remainder_norm_tildeV": 0}
+        originals = {name: getattr(controlled, name) for name in counts}
+
+        def count(module, name):
+            def counted(*args, **kwargs):
+                counts[name] += 1
+                return originals[name](*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted, raising=False)
+
+        for name in counts:
+            count(controlled, name)
+        count(rde, "rough_integral")
+        V, y0, X = noncommuting_case(7)
+        sol = rde.solve_picard_level2(y0, V, X)
+        assert sol.meta["iterations"] > 2
+        assert counts["rough_integral"] == 0
+        assert counts["remainder"] == counts["remainder_norm_tildeV"] >= 1
 
 
 class TestWindowed:
