@@ -1,7 +1,9 @@
 """The NumPy implementations of the hot kernels, re-exported by ``_kernels``.
 
-All arrays are C-contiguous float64.  Tensor coefficients are packed
-level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
+Arrays are float64 in any memory layout.  ``interval_dp_table`` and
+``partition_dp_max`` read the pair weights ``w`` by columns, so a column-major
+``w`` spares them a transposed copy and strided reads.  Tensor coefficients
+are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 """
 
 import functools

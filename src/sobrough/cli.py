@@ -20,9 +20,9 @@ from .algebra import AlgebraError
 from .controlled import (compose_smooth, coordinate_controlled, remainder_norm_hatW,
                          remainder_norm_tildeV, rough_integral)
 from .fields import FieldError, PolyVectorField
-from .paths import (PathError, SampledRoughPath, holder_norm, inhom_qvar_dist,
-                    inhom_sobolev_dist, mixed_dist, qvar_norm, sobolev_norm_dyadic,
-                    sobolev_norm_integral, _floor_bracket)
+from .paths import (PathError, SampledRoughPath, holder_norm, inhom_sobolev_dist,
+                    mixed_dist, qvar_norm, sobolev_norm_dyadic, sobolev_norm_integral,
+                    _floor_bracket)
 from .rde import BlowUpError, NonConvergenceError, solve_euler, solve_picard_level2, windowed_solve
 from .report import build_report, write_report
 
@@ -279,14 +279,13 @@ def dist(alpha, p_, level, depth, seed, config_path, out, csv, csv2):
     X2, info2 = _load_path(cfg, csv2)
     rho = inhom_sobolev_dist(X1, X2, cfg.alpha, cfg.p)
     mix = mixed_dist(X1, X2, cfg.alpha, cfg.p)
-    qv = inhom_qvar_dist(X1, X2, cfg.alpha)
     results = {
         "input1": info1, "input2": info2,
         "inhom_sobolev_levels": list(rho.levels),
         "inhom_sobolev": rho.total,
         "mixed_levels": list(mix.levels),
         "mixed": mix.value,
-        "inhom_qvar_levels": list(qv),
+        "inhom_qvar_levels": list(mix.qvar_levels),
     }
     prov = {f"results.{k}": "computed" for k in results if not k.startswith("input")}
     write_report(build_report(cfg.echo("dist", csv=csv, csv2=csv2), results, prov), out)

@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .fields import PolyVectorField
 from .paths import (IntervalFunction, PathError, SampledRoughPath, VectorPath,
-                    sobolev_norm_dyadic)
+                    _mixed_variation, sobolev_norm_dyadic)
 
 #: derivative self-test threshold for smooth maps (relative, vs finite differences)
 SELF_TEST_TOL = 1e-6
@@ -109,28 +109,12 @@ def remainder_norm_tildeV(R: IntervalFunction, alpha: float, p: float) -> float:
     with the inner variation taken over grid partitions of [u, v]."""
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
-    n = R.n_nodes
-    if n < 2:
-        return 0.0
-    # (n, n) work arrays are updated in place, with the same float operations
-    # as the out-of-place expressions in the comments, to bound peak memory;
-    # w is column-major, so interval_dp_table reads w.T without a copy
     w = R.pair_norms()
     w **= 1.0 / (2.0 * alpha)                          # mags ** (1 / (2 alpha))
     inner = _kernels.interval_dp_table(w)
     del w
     # inner[u,v]^(2 alpha) is the 1/(2 alpha)-variation of R over [u, v]
-    h = 1.0 / (n - 1)
-    idx = np.arange(n, dtype=np.float64)
-    gaps = idx[None, :] - idx[:, None]
-    np.fill_diagonal(gaps, 1.0)
-    gaps *= h
-    np.abs(gaps, out=gaps)
-    gaps **= alpha * p - 1.0                           # np.abs(gaps * h) ** (alpha p - 1)
-    inner **= alpha * p
-    inner /= gaps                                      # outer weights
-    best = _kernels.partition_dp_max(np.ascontiguousarray(inner))
-    return best ** (2.0 / p)
+    return _mixed_variation(inner, alpha, p) ** (2.0 / p)
 
 
 def remainder_norm_hatW(R: IntervalFunction, alpha: float, p: float) -> float:

@@ -24,7 +24,7 @@ from .fields import PolyVectorField
 from .paths import (IntervalFunction, SampledRoughPath, control_check,
                     integral_norm_interval_function, mixed_dist, inhom_sobolev_dist,
                     sobolev_norm_dyadic, sobolev_norm_integral, VectorPath,
-                    _floor_bracket)
+                    _floor_bracket, _level_tables, _mixed_variation)
 from .rde import (NonConvergenceError, BlowUpError, RdeSolution, solve_euler,
                   solve_picard_level2)
 
@@ -578,46 +578,39 @@ def stability_controls(X1: SampledRoughPath, X2: SampledRoughPath,
 
     evaluated on the dyadic interval family, with the pointwise comparison
     omega' <= omega and the superadditivity check for omega."""
-    from .paths import _pair_level_diff_matrix, _dist_levels
-
     J = X1.depth
     n = X1.n_nodes
     rho_hat = inhom_sobolev_dist(X1, X2, alpha, p)
-    rho_mix = mixed_dist(X1, X2, alpha, p)
 
     d1 = X1.dist_matrix(0, n)
     d2 = X2.dist_matrix(0, n)
     t1 = _kernels.interval_dp_table(np.ascontiguousarray(d1 ** (1.0 / alpha)))
     t2 = _kernels.interval_dp_table(np.ascontiguousarray(d2 ** (1.0 / alpha)))
 
-    ks = list(_dist_levels(alpha, X1.alg.level))
-    diff_tables = {}
-    diff_mats = {}
-    for idx, k in enumerate(ks):
-        m = _pair_level_diff_matrix(X1, X2, k, 0, n)
-        diff_mats[k] = m
-        diff_tables[k] = _kernels.interval_dp_table(
-            np.ascontiguousarray(m ** (1.0 / (alpha * k))))
+    intervals = [(np.arange(0, n - 1, 1 << i), np.arange(1 << i, n, 1 << i))
+                 for i in range(J, -1, -1)]
+    # each level's dyadic entries are read before _mixed_variation overwrites its table
+    levels = []
+    for k, diff, table in _level_tables(X1, X2, alpha):
+        tab = [table[lo, hi] for lo, hi in intervals]
+        dif = [diff[lo, hi] for lo, hi in intervals]
+        levels.append((k, _mixed_variation(table, alpha, p) ** (k / p), tab, dif))
 
     omega_levels, omega_prime_levels = [], []
-    for j in range(J + 1):
-        step = 1 << (J - j)
-        lo = np.arange(0, n - 1, step)
-        hi = lo + step
+    for j, (lo, hi) in enumerate(intervals):
         om = t1[lo, hi] + t2[lo, hi]
         omp = d1[lo, hi] ** (1.0 / alpha) + d2[lo, hi] ** (1.0 / alpha)
-        for idx, k in enumerate(ks):
-            if rho_mix.levels[idx] > 0:
-                om = om + diff_tables[k][lo, hi] / rho_mix.levels[idx] ** (1.0 / (alpha * k))
-            if rho_hat.levels[idx] > 0:
-                omp = omp + (diff_mats[k][lo, hi] / rho_hat.levels[idx]) ** (1.0 / (alpha * k))
+        for (k, rho_mix_k, tab, dif), rho_hat_k in zip(levels, rho_hat.levels):
+            if rho_mix_k > 0:
+                om = om + tab[j] / rho_mix_k ** (1.0 / (alpha * k))
+            if rho_hat_k > 0:
+                omp = omp + (dif[j] / rho_hat_k) ** (1.0 / (alpha * k))
         omega_levels.append(om)
         omega_prime_levels.append(omp)
 
     omega = IntervalFunction.from_dyadic(omega_levels)
     omega_prime = IntervalFunction.from_dyadic(omega_prime_levels)
-    worst_gap = max(float(np.max(omega_prime_levels[j] - omega_levels[j]))
-                    for j in range(J + 1))
+    worst_gap = max(float(np.max(b - a)) for a, b in zip(omega_levels, omega_prime_levels))
     ctrl = control_check(omega)
     return {
         "omega": omega,

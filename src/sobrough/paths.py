@@ -411,7 +411,7 @@ def _dyadic_level_diffs(X1: SampledRoughPath, X2: SampledRoughPath, k: int, j: i
 
 def _pair_level_diff_matrix(X1: SampledRoughPath, X2: SampledRoughPath, k: int,
                             a: int, b: int) -> np.ndarray:
-    out = np.empty((b - a, b - a))
+    out = np.empty((b - a, b - a), order="F")  # column-major for the DP kernels
     for r0 in range(a, b, _BLOCK):
         r1 = min(r0 + _BLOCK, b)
         out[r0 - a:r1 - a] = _kernels.level_diff_block(
@@ -456,18 +456,39 @@ def inhom_qvar_dist(X1: SampledRoughPath, X2: SampledRoughPath,
     a, b = _window_indices(X1, window)
     out = []
     for k in _dist_levels(alpha, X1.alg.level):
-        if b - a < 2:
-            out.append(0.0)
-            continue
         w = _pair_level_diff_matrix(X1, X2, k, a, b) ** (1.0 / (alpha * k))
-        best = _kernels.partition_dp_max(np.ascontiguousarray(w))
-        out.append(best ** (alpha * k))
+        out.append(_kernels.partition_dp_max(w) ** (alpha * k))
     return tuple(out)
+
+
+def _level_tables(X1: SampledRoughPath, X2: SampledRoughPath, alpha: float):
+    """(k, diff, table) per distance level k, one level at a time: the level
+    differences diff[u, v] and table[u, v] = rho_k,1/alpha-var;[u,v] ^ (1/(alpha k))."""
+    for k in _dist_levels(alpha, X1.alg.level):
+        diff = _pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
+        yield k, diff, _kernels.interval_dp_table(diff ** (1.0 / (alpha * k)))
+
+
+def _mixed_variation(inner: np.ndarray, alpha: float, p: float) -> float:
+    """sup_P sum_{[u,v] in P} inner[u,v]^(alpha p) / |v-u|^(alpha p - 1) over grid
+    partitions of [0, 1].  Overwrites the (n, n) interval table `inner`: work
+    arrays are updated in place, with the float operations of the expression
+    inner ** (alpha p) / np.abs(gaps * h) ** (alpha p - 1)."""
+    idx = np.arange(inner.shape[0], dtype=np.float64)
+    gaps = idx[None, :] - idx[:, None]
+    np.fill_diagonal(gaps, 1.0)
+    gaps *= 1.0 / (idx.size - 1)                       # grid step h
+    np.abs(gaps, out=gaps)
+    gaps **= alpha * p - 1.0
+    inner **= alpha * p
+    inner /= gaps
+    return _kernels.partition_dp_max(inner)
 
 
 class MixedDist(NamedTuple):
     levels: tuple
     value: float
+    qvar_levels: tuple  # inhom_qvar_dist over the whole grid, from the same tables
 
 
 def mixed_dist(X1: SampledRoughPath, X2: SampledRoughPath,
@@ -480,19 +501,11 @@ def mixed_dist(X1: SampledRoughPath, X2: SampledRoughPath,
     _check_pair(X1, X2)
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
-    n = X1.n_nodes
-    h = X1.h
-    gaps = (np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
-    np.fill_diagonal(gaps, 1.0)
-    levels = []
-    for k in _dist_levels(alpha, X1.alg.level):
-        w = _pair_level_diff_matrix(X1, X2, k, 0, n) ** (1.0 / (alpha * k))
-        inner = _kernels.interval_dp_table(np.ascontiguousarray(w))
-        # inner[u, v] = rho_k,1/alpha-var;[u,v] ^ (1/(alpha k))
-        outer_w = inner ** (alpha * p) / np.abs(gaps * h) ** (alpha * p - 1.0)
-        best = _kernels.partition_dp_max(np.ascontiguousarray(outer_w))
-        levels.append(best ** (k / p))
-    return MixedDist(tuple(levels), max(levels) if levels else 0.0)
+    levels, qvar = [], []
+    for k, _, table in _level_tables(X1, X2, alpha):
+        qvar.append(float(table[0, -1]) ** (alpha * k))
+        levels.append(_mixed_variation(table, alpha, p) ** (k / p))
+    return MixedDist(tuple(levels), max(levels) if levels else 0.0, tuple(qvar))
 
 
 # ----------------------------------------------------------- interval objects

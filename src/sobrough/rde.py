@@ -104,7 +104,8 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
     terms of the controlled norm, which bound it from below; the full norm,
     with its O(n^3) ||R||_tildeV term on the (n, n) pair remainder, is
     evaluated only when that bound is below `tol` or on the last iteration.
-    The reported residual is always the full norm."""
+    The reported residual is always the full norm; if it is not finite at the
+    last iteration, BlowUpError names the iteration from which it stayed so."""
     if X.alg.level != 2:
         raise PathError("the Picard solver is a level-2 construction")
     if V.self_test() > SELF_TEST_TOL:
@@ -116,6 +117,7 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
     Y = np.tile(y0, (n, 1))
     cp = ControlledPath(X, Y, V.eval_batch(Y))
     residual = math.inf
+    finite_until = 0  # the last iteration with a finite residual
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             try:
@@ -129,12 +131,18 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
             if not np.all(np.isfinite(Ynew)):
                 raise BlowUpError(it)
             nxt = ControlledPath(X, Ynew, V.eval_batch(cp.Y))
-            residual = controlled_norm(nxt.sub(cp),
-                                       cutoff=tol if it < max_iter else math.inf)
+            try:
+                residual = controlled_norm(nxt.sub(cp), cutoff=tol if it < max_iter else math.inf)
+            except OverflowError:  # math.fsum of finite terms beyond the float range
+                residual = math.inf
+        if math.isfinite(residual):
+            finite_until = it
         cp = nxt
         if residual < tol:
             return RdeSolution(cp.Y, X.depth, "picard",
                                {"iterations": it, "residual": residual})
+    if finite_until < max_iter:
+        raise BlowUpError(finite_until + 1)
     raise NonConvergenceError(residual, max_iter)
 
 

@@ -20,7 +20,11 @@ four bitwise.
 The three path-norm references recompute every pair distance per call,
 streaming row blocks or slicing the full distance matrix, where the
 library shares one set of upper-triangle block rows between the norms.
-The library must match them bitwise too.
+The two distance references build each level's difference matrix and
+interval table again for every quantity that reads them, and the outer
+weights out of place, where the library builds them once per level and
+overwrites each table with its outer weights.  The library must match
+these five references bitwise too.
 """
 
 import itertools
@@ -33,7 +37,9 @@ from sobrough._kernels import _fallback
 from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
                                  remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
-from sobrough.paths import VectorPath, sobolev_norm_dyadic
+from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels,
+                            _pair_level_diff_matrix, control_check, inhom_sobolev_dist,
+                            sobolev_norm_dyadic)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -253,3 +259,51 @@ def sobolev_norm_integral_streaming(grid, alpha, p, a, b):
         parts.append(float(np.sum(term)))
     s = math.fsum(parts)
     return (2.0 * s * h * h) ** (1.0 / p)
+
+
+def mixed_dist_out_of_place(X1, X2, alpha, p):
+    """(levels, value) of the mixed distance, each level's table and outer
+    weights built out of place from a C-ordered difference matrix."""
+    n = X1.n_nodes
+    gaps = (np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
+    np.fill_diagonal(gaps, 1.0)
+    levels = []
+    for k in _dist_levels(alpha, X1.alg.level):
+        w = np.ascontiguousarray(_pair_level_diff_matrix(X1, X2, k, 0, n)) ** (1.0 / (alpha * k))
+        inner = sobrough._kernels.interval_dp_table(np.ascontiguousarray(w))
+        outer_w = inner ** (alpha * p) / np.abs(gaps * X1.h) ** (alpha * p - 1.0)
+        best = sobrough._kernels.partition_dp_max(np.ascontiguousarray(outer_w))
+        levels.append(best ** (k / p))
+    return tuple(levels), max(levels)
+
+
+def stability_controls_levels(X1, X2, alpha, p):
+    """(omega levels, omega' levels, worst gap, superadditivity excess) of
+    the stability controls, with every level difference matrix and interval
+    table rebuilt after mixed_dist_out_of_place."""
+    J, n = X1.depth, X1.n_nodes
+    rho_hat = inhom_sobolev_dist(X1, X2, alpha, p)
+    rho_mix, _ = mixed_dist_out_of_place(X1, X2, alpha, p)
+    d1, d2 = X1.dist_matrix(0, n), X2.dist_matrix(0, n)
+    t1 = sobrough._kernels.interval_dp_table(np.ascontiguousarray(d1 ** (1.0 / alpha)))
+    t2 = sobrough._kernels.interval_dp_table(np.ascontiguousarray(d2 ** (1.0 / alpha)))
+    ks = list(_dist_levels(alpha, X1.alg.level))
+    mats = {k: np.ascontiguousarray(_pair_level_diff_matrix(X1, X2, k, 0, n)) for k in ks}
+    tables = {k: sobrough._kernels.interval_dp_table(mats[k] ** (1.0 / (alpha * k)))
+              for k in ks}
+    omega, omega_prime = [], []
+    for j in range(J + 1):
+        step = 1 << (J - j)
+        lo = np.arange(0, n - 1, step)
+        hi = lo + step
+        om = t1[lo, hi] + t2[lo, hi]
+        omp = d1[lo, hi] ** (1.0 / alpha) + d2[lo, hi] ** (1.0 / alpha)
+        for idx, k in enumerate(ks):
+            if rho_mix[idx] > 0:
+                om = om + tables[k][lo, hi] / rho_mix[idx] ** (1.0 / (alpha * k))
+            if rho_hat.levels[idx] > 0:
+                omp = omp + (mats[k][lo, hi] / rho_hat.levels[idx]) ** (1.0 / (alpha * k))
+        omega.append(om)
+        omega_prime.append(omp)
+    worst_gap = max(float(np.max(omega_prime[j] - omega[j])) for j in range(J + 1))
+    return omega, omega_prime, worst_gap, control_check(IntervalFunction.from_dyadic(omega)).worst

@@ -265,3 +265,40 @@ class TestIntegrate:
         assert rep["results"]["remainder_hatW"] == 2.5572752477633967
         (res,) = results
         assert res.remainder.pair.shape == (129, 129, 2)
+
+
+class TestDist:
+    @pytest.fixture
+    def walks(self, tmp_path):
+        files = []
+        for seed in (3, 4):
+            rng = np.random.default_rng(seed)
+            f = tmp_path / f"walk{seed}.csv"
+            write_csv(f, np.linspace(0.0, 1.0, 129),
+                      np.vstack([np.zeros(2), np.cumsum(0.1 * rng.standard_normal((128, 2)),
+                                                        axis=0)]))
+            files.append(str(f))
+        return files
+
+    def test_pinned_distances(self, walks, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["dist", "--csv", walks[0], "--csv2", walks[1], "--depth", "7",
+                     "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        # as first reported, when each distance built its own tables
+        assert res["mixed_levels"] == [2.9064718769432574, 3.2141741954198784]
+        assert res["mixed"] == 3.2141741954198784
+        assert res["inhom_qvar_levels"] == [2.736935147433875, 3.1819286230333876]
+
+    def test_level_tables_built_once(self, walks, tmp_path, monkeypatch):
+        import sobrough._kernels as kernels
+        calls = {"interval_dp_table": 0, "level_diff_block": 0, "partition_dp_max": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(kernels, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(kernels, name, counted)
+        assert main(["dist", "--csv", walks[0], "--csv2", walks[1], "--depth", "7",
+                     "--out", str(tmp_path / "report.json")]) == 0
+        # two distance levels; 129 nodes make two row blocks of the difference matrix
+        assert calls == {"interval_dp_table": 2, "level_diff_block": 4, "partition_dp_max": 2}

@@ -189,3 +189,19 @@ class TestStabilityControls:
             res = H.stability_controls(X1, X2, 0.4, 4.0)
             assert res["omega_prime_le_omega"], res["worst_gap"]
             assert res["omega_superadditive"], res["omega_superadditivity_violation"]
+
+    @pytest.mark.parametrize("depth", [5, 7])
+    def test_bitwise_equal_to_rebuilt_tables(self, depth):
+        for seed in range(3):
+            drv = H.make_trig_driver([seed, 500, 0], 2, amp=0.5)
+            eta = H.make_trig_driver([seed, 600, 0], 2, amp=0.4)
+            X1 = H.lift_smooth(drv.samples(depth), 2, depth, 0.4, 4.0)
+            X2 = H.lift_smooth(drv.samples(depth) + 0.05 * eta.samples(depth), 2, depth, 0.4, 4.0)
+            res = H.stability_controls(X1, X2, 0.4, 4.0)
+            omega, omega_prime, worst_gap, excess = oracles.stability_controls_levels(
+                X1, X2, 0.4, 4.0)
+            for j in range(depth + 1):
+                assert res["omega"].dyadic_level(j).tobytes() == omega[j].tobytes()
+                assert res["omega_prime"].dyadic_level(j).tobytes() == omega_prime[j].tobytes()
+            assert res["worst_gap"] == worst_gap
+            assert res["omega_superadditivity_violation"] == excess

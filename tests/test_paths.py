@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,9 +235,11 @@ class TestInhomDistances:
     def test_inhom_qvar_matches_enumeration(self, seed):
         X1, X2 = walk_path(seed, depth=2), walk_path(seed + 1000, depth=2)
         res = P.inhom_qvar_dist(X1, X2, ALPHA)
+        corners = P.mixed_dist(X1, X2, ALPHA, PP).qvar_levels
         for k in (1, 2):
             diff = P._pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
             assert res[k - 1] == oracles.enum_inhom_qvar_level(diff, ALPHA, k)
+            assert corners[k - 1] == res[k - 1]
 
     def test_single_segment_level1_difference(self):
         a = P.SampledRoughPath.from_samples(np.array([[0.0], [1.0]]), 1, 0.8, 8.0)
@@ -253,6 +256,30 @@ class TestInhomDistances:
             diff = P._pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
             assert res.levels[k - 1] == oracles.enum_mixed_level(diff, ALPHA, PP, k)
         assert res.value == max(res.levels)
+
+    @pytest.mark.parametrize("seed", [60, 61])
+    def test_mixed_matches_out_of_place_reference(self, seed):
+        X1, X2 = walk_path(seed, depth=9), walk_path(seed + 100, depth=9)
+        res = P.mixed_dist(X1, X2, ALPHA, PP)
+        assert (res.levels, res.value) == oracles.mixed_dist_out_of_place(X1, X2, ALPHA, PP)
+        assert res.qvar_levels == P.inhom_qvar_dist(X1, X2, ALPHA)
+
+    def test_mixed_transient_memory(self):
+        # the out-of-place version peaked at 8.04 (n, n) arrays here; one
+        # level's difference matrix, power, table and DP scratch rows plus
+        # the previous level's matrix and table come to about 6.05
+        X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
+        n = X1.n_nodes
+        X1.inv_nodes, X2.inv_nodes
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            P.mixed_dist(X1, X2, ALPHA, PP)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 6.5 * n * n * 8
 
     def test_mixed_bounded_by_norm_sum(self):
         # fit the comparison constant on one family, check it on a fresh one

@@ -150,6 +150,21 @@ class TestPicard:
         # overflow on the way to the blow-up stays inside the solver
         assert [str(w.message) for w in caught] == []
 
+    @pytest.mark.parametrize("depth, scale, step", [(6, 1e3, 45), (8, 1e3, 45), (6, 1e5, 19)])
+    def test_blow_up_when_residual_not_finite(self, depth, scale, step):
+        # dy = y dx, y0 = 1, x_t = scale * t: every iterate is finite, but the
+        # controlled norm of their difference leaves the float range; at 1e5
+        # its dyadic sum overflows inside math.fsum
+        ts = scale * np.linspace(0.0, 1.0, (1 << depth) + 1)[:, None]
+        X = P.SampledRoughPath.from_samples(ts, 2, ALPHA, PP)
+        V = PolyVectorField.scalar([0.0, 1.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(rde.BlowUpError) as exc:
+                rde.solve_picard_level2(np.array([1.0]), V, X, max_iter=50)
+        assert exc.value.step == step
+        assert [str(w.message) for w in caught] == []
+
     def test_nonconvergence_raises_with_residual(self):
         V = PolyVectorField.scalar([0.0, 5.0])
         X = lift_line(5)
