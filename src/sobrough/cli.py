@@ -307,7 +307,7 @@ def integrate(alpha, p_, level, depth, seed, config_path, out, csv):
     else:
         integrand = compose_smooth(
             PolyVectorField.linear(_diag_embedding(X.alg.dim)), base)
-    res = rough_integral(integrand, X)
+    res = rough_integral(integrand)
     results = {
         "input": info,
         "values": res.values,

@@ -8,12 +8,12 @@ A controlled pair (Y, Y') has Y on the grid with values of any shape
 R_{s,t} = Y_t - Y_s - Y'_s x_{s,t} with x the level-1 driver increment.
 Integration requires values in L(R^d, R^w), i.e. vshape = (w, d).
 
-The public `remainder` and `rough_integral` store remainders on all grid
-pairs, (n, n, ...) arrays.  The Picard solver needs neither: each of its
-iterations builds the integral path (`_integral_values`, O(n)) and the
-remainder on the dyadic intervals (`_dyadic_remainder`, O(n log n)), which
-is all ||R||_hatW reads.  `controlled_norm` builds the pair remainder only
-when it must evaluate the O(n^3) ||R||_tildeV term.
+`remainder` builds the remainder on all grid pairs, an (n, n, ...) array,
+in place; `rough_integral` takes the integral's remainder from it, as that of
+the controlled pair (I, Y).  The Picard solver needs no pair array: each
+iteration builds the integral path (`_integral_values`, O(n)) and the dyadic
+remainders (`_dyadic_remainder`, O(n log n)), all that ||R||_hatW reads, and
+`controlled_norm` builds the pair remainder only for the O(n^3) ||R||_tildeV.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from . import _kernels
 from .fields import PolyVectorField
 from .paths import (IntervalFunction, PathError, SampledRoughPath, VectorPath,
-                    _mixed_variation, sobolev_norm_dyadic)
+                    _dyadic_sum, _mixed_variation, sobolev_norm_dyadic)
 
 #: derivative self-test threshold for smooth maps (relative, vs finite differences)
 SELF_TEST_TOL = 1e-6
@@ -76,10 +76,13 @@ def remainder(cp: ControlledPath) -> IntervalFunction:
         x1 = cp.X.nodes[:, cp.X.alg.slice(1)]
         xinc = x1[None, :, :] - x1[:, None, :]          # (u, v, d)
         lin = np.einsum("u...j,uvj->uv...", cp.Yprime, xinc)
-        R = cp.Y[None, :, ...] - cp.Y[:, None, ...] - lin
+        del xinc
+        # built in place, so at most two (n, n, ...) arrays are alive at once
+        R = cp.Y[None, :, ...] - cp.Y[:, None, ...]
+        R -= lin
+        del lin
         n = cp.X.n_nodes
-        tri = np.triu(np.ones((n, n), dtype=bool), k=1)
-        R = np.where(tri.reshape((n, n) + (1,) * len(cp.vshape)), R, 0.0)
+        np.copyto(R, 0.0, where=np.tri(n, dtype=bool).reshape((n, n) + (1,) * len(cp.vshape)))
         cp._remainder = IntervalFunction(n, pair=R)
     return cp._remainder
 
@@ -124,12 +127,9 @@ def remainder_norm_hatW(R: IntervalFunction, alpha: float, p: float) -> float:
     """
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
-    terms = []
-    for j in range(R.depth + 1):
-        vals = R.dyadic_level(j)
-        mags = np.linalg.norm(vals.reshape(vals.shape[0], -1), axis=1)
-        terms.append(2.0 ** (j * (alpha * p - 1.0)) * float(np.sum(mags ** (p / 2.0))))
-    return math.fsum(terms) ** (2.0 / p)
+    mags = (np.linalg.norm(R.dyadic_level(j).reshape(1 << j, -1), axis=1)
+            for j in range(R.depth + 1))
+    return _dyadic_sum(mags, alpha, p, 2)[0] ** (2.0 / p)
 
 
 def controlled_norm(cp: ControlledPath, alpha: float | None = None,
@@ -187,10 +187,9 @@ def _compensated_terms(cp: ControlledPath, j: int) -> np.ndarray:
             + np.einsum("n...kj,njk->n...", Ypl, pi2))
 
 
-def _integral_values(cp: ControlledPath, X: SampledRoughPath) -> np.ndarray:
+def _integral_values(cp: ControlledPath) -> np.ndarray:
     """The integral path I on the grid, I[0] = 0, without its remainder."""
-    if X is not cp.X:
-        raise PathError("integrand is controlled by a different driver")
+    X = cp.X
     if X.alg.level != 2:
         raise PathError("rough integration needs a level-2 driver")
     if X.depth == 0:
@@ -203,42 +202,27 @@ def _integral_values(cp: ControlledPath, X: SampledRoughPath) -> np.ndarray:
     return values
 
 
-def rough_integral(cp: ControlledPath, X: SampledRoughPath | None = None,
-                   diagnostics: bool = True) -> RoughIntegral:
+def rough_integral(cp: ControlledPath) -> RoughIntegral:
     """Rough integral of a controlled integrand with values in L(R^d, R^w),
     as the deepest-grid compensated Riemann sum
 
         I_t = sum over finest intervals [u,v] <= t of  Y_u pi_1(X_{u,v}) + Y'_u pi_2(X_{u,v}).
 
-    The refinement diagnostic records the full-interval sums at every dyadic
+    Its remainder R^I_{s,t} = I_{s,t} - Y_s pi_1(X_{s,t}) is the pair remainder
+    of the controlled path (I, Y), built in place by `remainder`.  The
+    refinement diagnostic records the full-interval sums at every dyadic
     depth; on exact lifts their increments decay at the sewing rate."""
-    X = cp.X if X is None else X
-    values = _integral_values(cp, X)
-    wshape = cp.vshape[:-1]
-
-    x1 = X.nodes[:, X.alg.slice(1)]
-    xinc = x1[None, :, :] - x1[:, None, :]
-    lin = np.einsum("u...j,uvj->uv...", cp.Y, xinc)
-    del xinc
-    # built in place, so at most two (n, n, w) arrays are alive at once
-    RI = values[None, :, ...] - values[:, None, ...]
-    RI -= lin
-    del lin
-    n = X.n_nodes
-    lower = np.tri(n, dtype=bool)
-    np.copyto(RI, 0.0, where=lower.reshape((n, n) + (1,) * len(wshape)))
-
-    refinement = np.zeros((X.depth + 1,) + wshape)
-    order = math.nan
-    if diagnostics:
-        for j in range(X.depth + 1):
-            refinement[j] = np.sum(_compensated_terms(cp, j), axis=0)
-        deltas = np.linalg.norm(
-            (refinement[1:] - refinement[:-1]).reshape(X.depth, -1), axis=1)
-        # median of successive log-ratios: robust to the occasional
-        # accidentally-small delta (e.g. loops with zero net increment)
-        rates = [math.log2(a / b) for a, b in zip(deltas[:-1], deltas[1:])
-                 if a > 0 and b > 0]
-        if rates:
-            order = float(np.median(rates))
-    return RoughIntegral(values, cp.Y, IntervalFunction(n, pair=RI), refinement, order)
+    X = cp.X
+    values = _integral_values(cp)
+    R = remainder(ControlledPath(X, values, cp.Y))
+    refinement = np.zeros((X.depth + 1,) + cp.vshape[:-1])
+    for j in range(X.depth + 1):
+        refinement[j] = np.sum(_compensated_terms(cp, j), axis=0)
+    deltas = np.linalg.norm(
+        (refinement[1:] - refinement[:-1]).reshape(X.depth, -1), axis=1)
+    # median of successive log-ratios: robust to the occasional
+    # accidentally-small delta (e.g. loops with zero net increment)
+    rates = [math.log2(a / b) for a, b in zip(deltas[:-1], deltas[1:])
+             if a > 0 and b > 0]
+    order = float(np.median(rates)) if rates else math.nan
+    return RoughIntegral(values, cp.Y, R, refinement, order)

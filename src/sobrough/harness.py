@@ -247,12 +247,12 @@ def embedding_study(cfg: dict) -> dict:
     def interval_ratios(i):
         samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
         X = lift_smooth(samples, level, J, alpha, p)
-        dist = X.dist_matrix(0, X.n_nodes)
+        # table[a, b] = qvar(1/alpha; [t_a, t_b])^{1/alpha}
+        table = _kernels.interval_dp_table(X.dist_matrix(0, X.n_nodes) ** q)
         omega = integral_norm_interval_function(X, alpha, p)
         out = []
         for j, a, b in _dyadic_windows(J):
-            w = np.ascontiguousarray(dist[a:b + 1, a:b + 1] ** q)
-            lhs = _kernels.partition_dp_max(w)  # qvar^{1/alpha} directly
+            lhs = float(table[a, b])
             norm_p = float(omega.dyadic_level(j)[a >> (J - j)])
             rhs = norm_p ** (q / p) * ((b - a) * X.h) ** time_expo
             if rhs > 0:
@@ -595,6 +595,7 @@ def stability_controls(X1: SampledRoughPath, X2: SampledRoughPath,
         tab = [table[lo, hi] for lo, hi in intervals]
         dif = [diff[lo, hi] for lo, hi in intervals]
         levels.append((k, _mixed_variation(table, alpha, p) ** (k / p), tab, dif))
+        del diff, table
 
     omega_levels, omega_prime_levels = [], []
     for j, (lo, hi) in enumerate(intervals):

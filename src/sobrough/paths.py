@@ -281,6 +281,14 @@ def _block_gaps(r0: int, rows: int, i1: int):
     return gap, mask
 
 
+def _fsum(terms) -> float:
+    """math.fsum of non-negative terms, or inf (as np.sum) where it overflows."""
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
+
+
 def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
     """sum over i0 <= u < v < i1 of d(X_u, X_v)^p * ((v - u) h)^(-expo),
     one partial sum per block row."""
@@ -289,7 +297,16 @@ def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
         gap, mask = _block_gaps(r0, dist.shape[0], i1)
         term = np.where(mask, dist**p * (gap * grid.h) ** (-expo), 0.0)
         parts.append(float(np.sum(term)))
-    return math.fsum(parts)
+    return _fsum(parts)
+
+
+def _dyadic_sum(mags, alpha: float, p: float, k: int = 1) -> tuple[float, float]:
+    """(sum_j 2^{j(alpha p - 1)} sum_i m_{j,i}^{p/k}, its j = J term) over the
+    magnitudes m_j = mags[j] on the 2^j dyadic intervals of level j = 0..J,
+    the levels summed by _fsum."""
+    terms = [2.0 ** (j * (alpha * p - 1.0)) * float(np.sum(m ** (p / k)))
+             for j, m in enumerate(mags)]
+    return _fsum(terms), terms[-1]
 
 
 def _as_grid(path):
@@ -381,12 +398,8 @@ def sobolev_norm_dyadic(path, alpha: float, p: float) -> DyadicNorm:
     grid = _as_grid(path)
     if grid.depth is None:
         raise PathError("dyadic norm needs 2^J + 1 samples")
-    terms = []
-    for j in range(grid.depth + 1):
-        dist = grid.dyadic_dists(j)
-        terms.append(2.0 ** (j * (alpha * p - 1.0)) * float(np.sum(dist**p)))
-    total = math.fsum(terms)
-    return DyadicNorm(total ** (1.0 / p), terms[-1] ** (1.0 / p))
+    total, tail = _dyadic_sum((grid.dyadic_dists(j) for j in range(grid.depth + 1)), alpha, p)
+    return DyadicNorm(total ** (1.0 / p), tail ** (1.0 / p))
 
 
 # ------------------------------------------------------------------ distances
@@ -438,12 +451,9 @@ def inhom_sobolev_dist(X1: SampledRoughPath, X2: SampledRoughPath,
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     levels = []
     for k in _dist_levels(alpha, X1.alg.level):
-        terms = []
-        for j in range(X1.depth + 1):
-            diffs = _dyadic_level_diffs(X1, X2, k, j)
-            terms.append(2.0 ** (j * (alpha * p - 1.0)) * float(np.sum(diffs ** (p / k))))
-        levels.append(math.fsum(terms) ** (k / p))
-    return InhomSobolevDist(tuple(levels), math.fsum(levels))
+        diffs = (_dyadic_level_diffs(X1, X2, k, j) for j in range(X1.depth + 1))
+        levels.append(_dyadic_sum(diffs, alpha, p, k)[0] ** (k / p))
+    return InhomSobolevDist(tuple(levels), _fsum(levels))
 
 
 def inhom_qvar_dist(X1: SampledRoughPath, X2: SampledRoughPath,
@@ -467,6 +477,7 @@ def _level_tables(X1: SampledRoughPath, X2: SampledRoughPath, alpha: float):
     for k in _dist_levels(alpha, X1.alg.level):
         diff = _pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
         yield k, diff, _kernels.interval_dp_table(diff ** (1.0 / (alpha * k)))
+        del diff  # callers drop theirs too, before the next level is built
 
 
 def _mixed_variation(inner: np.ndarray, alpha: float, p: float) -> float:
@@ -502,9 +513,10 @@ def mixed_dist(X1: SampledRoughPath, X2: SampledRoughPath,
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     levels, qvar = [], []
-    for k, _, table in _level_tables(X1, X2, alpha):
+    for k, diff, table in _level_tables(X1, X2, alpha):
         qvar.append(float(table[0, -1]) ** (alpha * k))
         levels.append(_mixed_variation(table, alpha, p) ** (k / p))
+        del diff, table
     return MixedDist(tuple(levels), max(levels) if levels else 0.0, tuple(qvar))
 
 

@@ -122,7 +122,7 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 integrand = compose_smooth(V, cp)
-                values = _integral_values(integrand, X)
+                values = _integral_values(integrand)
             except PathError as exc:
                 if "non-finite" in str(exc):
                     raise BlowUpError(it) from None
@@ -133,7 +133,7 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
             nxt = ControlledPath(X, Ynew, V.eval_batch(cp.Y))
             try:
                 residual = controlled_norm(nxt.sub(cp), cutoff=tol if it < max_iter else math.inf)
-            except OverflowError:  # math.fsum of finite terms beyond the float range
+            except OverflowError:  # a Python float ** (2/p) beyond the float range, p < 2
                 residual = math.inf
         if math.isfinite(residual):
             finite_until = it

@@ -25,6 +25,13 @@ interval table again for every quantity that reads them, and the outer
 weights out of place, where the library builds them once per level and
 overwrites each table with its outer weights.  The library must match
 these five references bitwise too.
+
+The three pair-remainder and embedding references are the code that the
+library merged into one builder per quantity: the out-of-place pair
+remainder, the integral's own in-place remainder block, and one
+`partition_dp_max` per dyadic window of the embedding study, where the
+library reads the interval table of the whole path.  The library must match
+them bitwise as well.
 """
 
 import itertools
@@ -37,9 +44,10 @@ from sobrough._kernels import _fallback
 from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
                                  remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
+from sobrough.harness import (_dyadic_windows, lift_smooth, make_walk_samples)
 from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels,
                             _pair_level_diff_matrix, control_check, inhom_sobolev_dist,
-                            sobolev_norm_dyadic)
+                            integral_norm_interval_function, sobolev_norm_dyadic)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -148,7 +156,7 @@ def picard_full_norm(y0, V, X, tol: float = 1e-9, max_iter: int = 100):
     cp = ControlledPath(X, Y, V.eval_batch(Y))
     residual = math.inf
     for it in range(1, max_iter + 1):
-        I = rough_integral(compose_smooth(V, cp), X, diagnostics=False)
+        I = rough_integral(compose_smooth(V, cp))
         nxt = ControlledPath(X, y0[None, :] + I.values, V.eval_batch(cp.Y))
         residual = controlled_norm_pair(nxt.sub(cp))
         cp = nxt
@@ -307,3 +315,57 @@ def stability_controls_levels(X1, X2, alpha, p):
         omega_prime.append(omp)
     worst_gap = max(float(np.max(omega_prime[j] - omega[j])) for j in range(J + 1))
     return omega, omega_prime, worst_gap, control_check(IntervalFunction.from_dyadic(omega)).worst
+
+
+def remainder_out_of_place(cp):
+    """(n, n, *vshape) pair remainder Y_{s,t} - Y'_s x_{s,t}, built out of
+    place and masked to the upper triangle with np.where."""
+    x1 = cp.X.nodes[:, cp.X.alg.slice(1)]
+    xinc = x1[None, :, :] - x1[:, None, :]
+    lin = np.einsum("u...j,uvj->uv...", cp.Yprime, xinc)
+    R = cp.Y[None, :, ...] - cp.Y[:, None, ...] - lin
+    n = cp.X.n_nodes
+    tri = np.triu(np.ones((n, n), dtype=bool), k=1)
+    return np.where(tri.reshape((n, n) + (1,) * len(cp.vshape)), R, 0.0)
+
+
+def integral_remainder_block(cp, values):
+    """(n, n, *w) remainder I_{s,t} - Y_s x_{s,t} of the integral path
+    `values` of the integrand cp, by the integral's own in-place block."""
+    X = cp.X
+    x1 = X.nodes[:, X.alg.slice(1)]
+    xinc = x1[None, :, :] - x1[:, None, :]
+    lin = np.einsum("u...j,uvj->uv...", cp.Y, xinc)
+    del xinc
+    RI = values[None, :, ...] - values[:, None, ...]
+    RI -= lin
+    del lin
+    n = X.n_nodes
+    lower = np.tri(n, dtype=bool)
+    np.copyto(RI, 0.0, where=lower.reshape((n, n) + (1,) * (values.ndim - 1)))
+    return RI
+
+
+def embedding_ratios_per_window(cfg):
+    """(calibration, held-out) ratios of the embedding study, with one
+    partition_dp_max on a copied window of the distance matrix per dyadic
+    interval."""
+    alpha, p = cfg.get("alpha", 0.4), cfg.get("p", 4.0)
+    level, J = cfg.get("level", 2), cfg.get("depth", 7)
+    seed, d = cfg.get("seed", 0), cfg.get("d", 2)
+    q = 1.0 / alpha
+    time_expo = 1.0 - 1.0 / (alpha * p)
+    cal, held = [], []
+    for i in range(cfg.get("n_paths", 40)):
+        samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
+        X = lift_smooth(samples, level, J, alpha, p)
+        dist = X.dist_matrix(0, X.n_nodes)
+        omega = integral_norm_interval_function(X, alpha, p)
+        for j, a, b in _dyadic_windows(J):
+            w = np.ascontiguousarray(dist[a:b + 1, a:b + 1] ** q)
+            lhs = sobrough._kernels.partition_dp_max(w)
+            norm_p = float(omega.dyadic_level(j)[a >> (J - j)])
+            rhs = norm_p ** (q / p) * ((b - a) * X.h) ** time_expo
+            if rhs > 0:
+                (cal if i % 2 == 0 else held).append(lhs / rhs)
+    return cal, held

@@ -151,7 +151,7 @@ def test_criterion_5_rough_integral():
     for j in depths:
         Xj = H.lift_smooth(drv.samples(j), 2, j, ALPHA, PP)
         cpj = compose_smooth(F, coordinate_controlled(Xj))
-        val = rough_integral(cpj, diagnostics=False).values[-1, 0]
+        val = rough_integral(cpj).values[-1, 0]
         fine = drv.samples(j + 6)
         oracle = oracles.trapezoid_stieltjes(F.eval_batch(fine), fine)[0]
         errs.append(abs(val - oracle))

@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import numpy as np
@@ -267,6 +268,34 @@ class TestIntegrate:
         assert res.remainder.pair.shape == (129, 129, 2)
 
 
+class TestNorm:
+    def test_pinned_norms(self, tmp_path):
+        rng = np.random.default_rng(3)
+        f, out = tmp_path / "walk.csv", tmp_path / "report.json"
+        write_csv(f, np.linspace(0.0, 1.0, 129),
+                  np.vstack([np.zeros(2), np.cumsum(0.1 * rng.standard_normal((128, 2)), axis=0)]))
+        assert main(["norm", "--csv", str(f), "--depth", "7", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())["results"]
+        # as first reported, when each dyadic norm wrote out its own sum
+        assert res["sobolev_dyadic"] == 4.057972729903647
+        assert res["sobolev_dyadic_tail"] == 2.0533174463499977
+        assert res["sobolev_integral"] == 4.183335988406545
+        assert res["holder"] == 5.2333460691640115
+        assert res["qvar"] == 3.7492894043141205
+
+    def test_overflowing_norms_reported_as_null(self, tmp_path):
+        f, out = tmp_path / "big.csv", tmp_path / "report.json"
+        ts = np.linspace(0.0, 1.0, 33)
+        write_csv(f, ts, ts[:, None] * 1.7e308 ** 0.25)
+        with np.errstate(over="ignore"):
+            code = main(["norm", "--csv", str(f), "--depth", "5", "--level", "1",
+                         "--out", str(out)])
+        assert code == 0
+        res = json.loads(out.read_text())["results"]
+        assert res["sobolev_dyadic"] is None and res["sobolev_integral"] is None
+        assert all(math.isfinite(res[k]) for k in ("sobolev_dyadic_tail", "holder", "qvar"))
+
+
 class TestDist:
     @pytest.fixture
     def walks(self, tmp_path):
@@ -285,7 +314,9 @@ class TestDist:
         assert main(["dist", "--csv", walks[0], "--csv2", walks[1], "--depth", "7",
                      "--out", str(out)]) == 0
         res = json.loads(out.read_text())["results"]
-        # as first reported, when each distance built its own tables
+        # as first reported, when each distance built its own tables and sums
+        assert res["inhom_sobolev_levels"] == [2.841005116260182, 4.376057987502953]
+        assert res["inhom_sobolev"] == 7.2170631037631345
         assert res["mixed_levels"] == [2.9064718769432574, 3.2141741954198784]
         assert res["mixed"] == 3.2141741954198784
         assert res["inhom_qvar_levels"] == [2.736935147433875, 3.1819286230333876]

@@ -49,6 +49,35 @@ class TestRemainder:
         for (i, j) in [(0, 16), (3, 11), (7, 8)]:
             assert R.pair[i, j, 0] == pytest.approx((ts[j] - ts[i]) ** 2, rel=1e-12)
 
+    @pytest.mark.parametrize("d, vshape", [(2, (2,)), (2, (3, 2)), (3, (2, 3))])
+    @pytest.mark.parametrize("J", [1, 5, 8])
+    def test_bitwise_equal_to_out_of_place_reference(self, J, d, vshape):
+        X = lift_walk(J, depth=J, d=d)
+        rng = np.random.default_rng(J)
+        cp = ControlledPath(X, rng.standard_normal((X.n_nodes,) + vshape),
+                            rng.standard_normal((X.n_nodes,) + vshape + (d,)))
+        want = oracles.remainder_out_of_place(cp)
+        got = remainder(cp).pair
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_remainder_transient_memory(self):
+        # built in place: the einsum's two operands, then R and its linear
+        # term, about 2.03 (n, n, 2) arrays
+        X = lift_walk(17, depth=9, d=2)
+        n = X.n_nodes
+        rng = np.random.default_rng(9)
+        cp = ControlledPath(X, rng.standard_normal((n, 2)), rng.standard_normal((n, 2, 2)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            remainder(cp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.5 * n * n * 2 * 8
+
 
 class TestDyadicRemainder:
     @pytest.mark.parametrize("vshape", [(2,), (3, 2)])
@@ -268,7 +297,7 @@ class TestRoughIntegral:
         for J in (6, 8, 10):
             X = lift_smooth(drv.samples(J), 2, J, ALPHA, PP)
             cp = compose_smooth(F, coordinate_controlled(X))
-            val = rough_integral(cp, diagnostics=False).values[-1, 0]
+            val = rough_integral(cp).values[-1, 0]
             fine = drv.samples(J + 6)
             g = F.eval_batch(fine)
             oracle = oracles.trapezoid_stieltjes(g, fine)[0]
@@ -284,6 +313,18 @@ class TestRoughIntegral:
         cp = compose_smooth(PolyVectorField.scalar([0.2, 0.5, 0.3]), coordinate_controlled(X))
         res = rough_integral(cp)
         assert res.refinement_order >= 3 * ALPHA - 1
+
+    @pytest.mark.parametrize("d, w", [(1, 1), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("J", [1, 5, 8])
+    def test_remainder_bitwise_equal_to_integral_block(self, J, d, w):
+        X = lift_walk(J + 20, depth=J, d=d)
+        rng = np.random.default_rng(J)
+        cp = ControlledPath(X, rng.standard_normal((X.n_nodes, w, d)),
+                            rng.standard_normal((X.n_nodes, w, d, d)))
+        res = rough_integral(cp)
+        want = oracles.integral_remainder_block(cp, res.values)
+        assert res.remainder.pair.shape == want.shape
+        assert res.remainder.pair.tobytes() == want.tobytes()
 
     def test_integral_pair_is_controlled(self):
         # closure: (I, Y) is itself a controlled path with finite norm
@@ -307,8 +348,8 @@ class TestRoughIntegral:
             X2 = lift_smooth(drv.samples(5) + eps * pert.samples(5), 2, 5, ALPHA, PP)
             cp1 = compose_smooth(F, coordinate_controlled(X1))
             cp2 = compose_smooth(F, coordinate_controlled(X2))
-            r1 = rough_integral(cp1, diagnostics=False)
-            r2 = rough_integral(cp2, diagnostics=False)
+            r1 = rough_integral(cp1)
+            r2 = rough_integral(cp2)
             dR = r1.remainder - r2.remainder
             lhs = (remainder_norm_tildeV(dR, ALPHA, PP)
                    + remainder_norm_hatW(dR, ALPHA, PP))

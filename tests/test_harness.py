@@ -133,6 +133,20 @@ class TestStudies:
         assert rep["heldout_violations"] == 0
         assert rep["fitted_constant"] >= rep["calibration_max_ratio"]
 
+    @pytest.mark.parametrize("cfg", [
+        {"n_paths": 4, "depth": 5, "seed": 1},
+        {"n_paths": 4, "depth": 6, "seed": 2, "level": 3, "alpha": 0.3, "p": 5.0, "d": 3},
+    ])
+    def test_embedding_bitwise_equal_to_per_window_reference(self, cfg):
+        rep = H.embedding_study(cfg)
+        cal, held = oracles.embedding_ratios_per_window(cfg)
+        K = max(cal) * H.FIT_MARGIN
+        assert rep["calibration_max_ratio"] == max(cal)
+        assert rep["heldout_max_ratio"] == max(held)
+        assert rep["fitted_constant"] == K
+        assert (rep["n_calibration"], rep["n_heldout"]) == (len(cal), len(held))
+        assert rep["heldout_violations"] == sum(1 for r in held if r > K)
+
     def test_apriori_zero_heldout_violations(self):
         rep = H.apriori_study({"n_paths": 12, "depth": 6, "seed": 0})
         assert rep["heldout_violations"] == 0

@@ -125,7 +125,7 @@ class TestPicard:
         sol = rde.solve_picard_level2(np.array([0.4]), V, X, tol=tol)
         cp = ControlledPath(X, sol.values, V.eval_batch(sol.values))
         integrand = compose_smooth(V, cp)
-        I = rough_integral(integrand, X, diagnostics=False)
+        I = rough_integral(integrand)
         nxt = ControlledPath(X, np.array([0.4])[None, :] + I.values, V.eval_batch(cp.Y))
         assert controlled_norm(nxt.sub(cp)) < 2 * tol
 

@@ -1,15 +1,21 @@
 """The traced benchmark run (perfbench/tracer.py) wraps library names from
 outside the package; a refactor that renames one of them would silently
-drop its spans.  These checks read the tracer's tables without editing it."""
+drop its spans, and one that reshapes a result would crash the work hooks
+that read it.  These checks read the tracer's tables without editing it."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 import sobrough._kernels
+from sobrough import controlled as C
 from sobrough import paths as P
+from sobrough import rde
+from sobrough.fields import PolyVectorField
+from sobrough.harness import lift_smooth, make_trig_driver
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -41,3 +47,27 @@ def test_traced_methods_exist():
 def test_path_has_traced_cache_attribute():
     X = P.SampledRoughPath.from_samples(np.zeros((5, 2)), 2, 0.4, 4.0)
     assert hasattr(X, "_dist_cache")
+
+
+def test_work_hooks_read_library_results():
+    work = _load_tracer()._work_functions(SimpleNamespace(job_lift_keys=set()))
+    X = lift_smooth(make_trig_driver(1, 2).samples(4), 2, 4, 0.4, 4.0)
+    V = PolyVectorField.linear(0.2 * np.ones((2, 2, 2)))
+    y0 = np.array([0.5, -0.5])
+
+    def hook(name, args, result):
+        return work[name](args, {}, result)
+
+    cp = C.compose_smooth(V, C.coordinate_controlled(X))
+    R = C.remainder(cp)
+    assert hook("controlled.remainder", (cp,), R) == {"pair_bytes_max": float(R.pair.nbytes)}
+    res = C.rough_integral(cp)
+    assert hook("controlled.rough_integral", (cp,), res) == {
+        "pair_bytes_max": float(res.remainder.pair.nbytes)}
+    sol = rde.solve_picard_level2(y0, V, X)
+    assert hook("rde.solve_picard_level2", (y0, V, X), sol) == {
+        "iterations": float(sol.meta["iterations"])}
+    win = rde.windowed_solve(y0, V, X, splits=(0.5,))
+    assert hook("rde.windowed_solve", (y0, V, X), win) == {"windows": 2.0}
+    eul = rde.solve_euler(y0, V, X)
+    assert hook("rde.solve_euler", (y0, V, X), eul) == {"steps": float(X.n_nodes - 1)}
