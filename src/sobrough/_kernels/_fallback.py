@@ -92,16 +92,29 @@ def inverse_batch(nodes, d, N):
 
 
 def _increment_levels(inv_rows, nodes, d, N, k):
-    """Level-k coefficients of inv_rows[u] ⊗ nodes[v] for all (u, v); shape (m, n, d^k)."""
+    """Level-k coefficients of inv_rows[u] ⊗ nodes[v] for all (u, v); shape (m, n, d^k).
+
+    Level k of the product is Σ_i A_i ⊗ B_{k−i} for A = inv_rows, B = nodes.
+    Both have scalar level exactly 1, so the i = 0 term is B_k and the i = k
+    term is A_k: they are added by broadcasting, and the first of the other
+    terms is written straight into the result.  The sum is that of adding
+    every term's `einsum` to zeros in the order i = 0, …, k, except that
+    0 + B_k is B_k, which can only change the sign of a zero."""
     off, sz = level_layout(d, N)
+    if np.any(inv_rows[:, 0] != 1.0) or np.any(nodes[:, 0] != 1.0):
+        raise ValueError("pair kernels need rows with scalar level 1")
     m = inv_rows.shape[0]
     n = nodes.shape[0]
-    acc = np.zeros((m, n, sz[k]))
-    for i in range(k + 1):
-        j = k - i
-        A = _lv(inv_rows, off, sz, i)
-        B = _lv(nodes, off, sz, j)
-        acc += np.einsum("ma,nb->mnab", A, B).reshape(m, n, sz[k])
+    A = [_lv(inv_rows, off, sz, i) for i in range(k + 1)]
+    B = [_lv(nodes, off, sz, j) for j in range(k + 1)]
+    acc = np.empty((m, n, sz[k]))
+    if k == 1:
+        return np.add(B[1][None], A[1][:, None], out=acc)
+    np.einsum("ma,nb->mnab", A[1], B[k - 1], out=acc.reshape(m, n, sz[1], sz[k - 1]))
+    acc += B[k][None]
+    for i in range(2, k):
+        acc += np.einsum("ma,nb->mnab", A[i], B[k - i]).reshape(m, n, sz[k])
+    acc += A[k][:, None]
     return acc
 
 

@@ -76,36 +76,40 @@ class PolyMap:
         return out
 
     def point_evaluator(self):
-        """`__call__` for loops over many single points: a closure y -> value
-        that does the float operations of `eval_batch` in the same order,
-        so results are bit-identical, with the batch set-up done once here.
-        Powers stay NumPy `**` on arrays, as in `eval_batch`."""
-        powers = sorted({k for exps in self.terms for k in exps if k})
-        factors = [[(j, powers.index(k)) for j, k in enumerate(exps) if k]
-                   for exps in self.terms]
-        # one row per output entry: the coefficient of each term, in dict order
+        """`__call__` for loops over many single points, on Python floats: a
+        function taking the point as a list of floats and returning the value
+        as a flat list in row-major order.
+
+        It is generated once per map as straight-line code that does the
+        float operations of `eval_batch` in the same order, so results are
+        bit-identical: each monomial is 1.0 times its factors, left to right,
+        and each output entry is 0.0 plus monomial times coefficient over the
+        terms in dict order.  NumPy takes y**1 as y and y**2 as y*y, but
+        higher powers through its vector `pow`, which can differ from libm's
+        in the last bit: those stay NumPy `**` on the point's array."""
         size = int(np.prod(self.out_shape, dtype=int))
-        coeffs = np.reshape([c.ravel() for c in self.terms.values()],
-                            (len(self.terms), size)).T.tolist()
-        shape = self.out_shape
+        coeffs = np.reshape([c.ravel() for c in self.terms.values()], (len(self.terms), size))
+        # coefficients are bound by name, so that every float (inf, -0.0) is exact
+        env = {"np": np}
+        env.update((f"c{t}_{r}", float(c)) for (t, r), c in np.ndenumerate(coeffs))
+        high = sorted({k for exps in self.terms for k in exps if k > 2})
 
-        def at(y: np.ndarray) -> np.ndarray:
-            pw = [(y ** k).tolist() for k in powers]
-            monos = []
-            for term in factors:
-                mono = 1.0
-                for j, i in term:
-                    mono = mono * pw[i][j]
-                monos.append(mono)
-            out = []
-            for row in coeffs:
-                acc = 0.0
-                for mono, coeff in zip(monos, row):
-                    acc = acc + mono * coeff
-                out.append(acc)
-            return np.array(out).reshape(shape)
+        def factor(j: int, k: int) -> str:
+            return f"y{j}" if k == 1 else f"(y{j} * y{j})" if k == 2 else f"p{k}[{j}]"
 
-        return at
+        # V(y) = 0.3 + 0.2 y - 0.15 y^2 (terms in that order) reads
+        #     y0, = y; m0 = 1.0; m1 = 1.0 * y0; m2 = 1.0 * (y0 * y0)
+        #     return [0.0 + m0 * c0_0 + m1 * c1_0 + m2 * c2_0]
+        lines = ["def at(y):", f"    {''.join(f'y{j}, ' for j in range(self.e_in))}= y"]
+        lines += [f"    p{k} = (np.array(y) ** {k}).tolist()" for k in high]
+        for t, exps in enumerate(self.terms):
+            lines.append(f"    m{t} = " + " * ".join(
+                ["1.0"] + [factor(j, k) for j, k in enumerate(exps) if k]))
+        entries = [" + ".join(["0.0"] + [f"m{t} * c{t}_{r}" for t in range(len(self.terms))])
+                   for r in range(size)]
+        lines.append(f"    return [{', '.join(entries)}]")
+        exec("\n".join(lines), env)
+        return env["at"]
 
     # --------------------------------------------------------------- calculus
 
@@ -172,25 +176,42 @@ class PolyMap:
     def __sub__(self, other: "PolyMap") -> "PolyMap":
         return self + other.scale(-1.0)
 
+    def jacobians(self, order: int) -> list:
+        """[self, D self, ..., D^order self] as polynomial maps, each the
+        `jacobian` of the one before: the derivative axes of D^k are stacked
+        last, in the order the derivatives are taken."""
+        maps = [self]
+        for _ in range(order):
+            maps.append(maps[-1].jacobian())
+        return maps
+
     def derivative_tensor(self, y, order: int) -> np.ndarray:
         """D^order at y; shape out_shape + (e_in,) * order.  Exact."""
-        if order == 0:
-            return self(y)
-        inner = self.jacobian().derivative_tensor(y, order - 1)
-        # jacobian axis sits right after out_shape; move it to the end
-        return np.moveaxis(inner, len(self.out_shape), -1)
+        return _reverse_last_axes(self.jacobians(order)[-1](y), order)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
     def sup_on_ball(self, radius: float, order: int, n_samples: int = 96) -> float:
         """max Frobenius norm of D^order over a deterministic sample of the
-        closed ball B(0, radius)."""
-        pts = _ball_sample(self.e_in, radius, n_samples)
+        closed ball B(0, radius).
+
+        D^order is built once and evaluated on the whole sample by one
+        `eval_batch`, whose rows are bit-identical to single-point calls.
+        Each row's norm is taken on its own, in memory order, as it was for
+        the `derivative_tensor` of one point."""
+        values = self.jacobians(order)[-1].eval_batch(_ball_sample(self.e_in, radius, n_samples))
         worst = 0.0
-        for y in pts:
-            worst = max(worst, float(np.linalg.norm(self.derivative_tensor(y, order))))
+        for row in values:
+            worst = max(worst, float(np.linalg.norm(row)))
         return worst
+
+
+def _reverse_last_axes(values: np.ndarray, order: int) -> np.ndarray:
+    """View of D^order values from `jacobians` with the derivative axes listed
+    last-taken first, the layout of `derivative_tensor`."""
+    axes = list(range(values.ndim - order, values.ndim))
+    return np.moveaxis(values, axes, axes[::-1])
 
 
 def _ball_sample(e: int, radius: float, n: int) -> np.ndarray:
@@ -222,14 +243,13 @@ def derivative_self_test(pm: PolyMap, seed: int = 7, orders=(1, 2, 3),
     """Max relative error of the analytic derivative tensors against central
     finite differences at random points."""
     rng = np.random.default_rng(seed)
+    maps = pm.jacobians(max(orders, default=0))
     worst = 0.0
     for _ in range(4):
         y = rng.uniform(-1.0, 1.0, pm.e_in)
         for order in orders:
-            exact = pm.derivative_tensor(y, order)
-            base = pm
-            for _ in range(order - 1):
-                base = base.jacobian()
+            exact = _reverse_last_axes(maps[order](y), order)
+            base = maps[order - 1]
             approx = np.empty_like(exact)
             for j in range(pm.e_in):
                 yp = y.copy()

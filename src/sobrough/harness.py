@@ -119,31 +119,44 @@ def ode_oracle(y0, V: PolyVectorField, driver: SmoothDriver, depth: int,
     step; the error estimate compares against half the refinement.
 
     `driver.xdot` is called on arrays, (m,) -> (m, d): once per integration
-    at each of the three stage offsets of every substep.  V is evaluated
-    one point at a time through `PolyMap.point_evaluator`."""
+    at each of the three stage offsets of every substep.  The stages run on
+    Python floats, through `PolyMap.point_evaluator`, in the operation order
+    of the array form y + hs * k / 2.  When d = 1, V(y) xdot is one multiply
+    per row, added to +0.0 as `@` does.  When d > 1 it stays `@` on the
+    small array: a left-to-right Python sum can differ from NumPy's in the
+    last bit."""
     y0 = np.asarray(y0, dtype=np.float64)
     field = V.fmap.point_evaluator()
+    e, d = V.e, V.d
+
+    if d == 1:
+        def rhs(y: list, x: float) -> list:
+            return [0.0 + v * x for v in field(y)]
+    else:
+        def rhs(y: list, x: np.ndarray) -> list:
+            return (np.array(field(y)).reshape(e, d) @ x).tolist()
 
     def integrate(nsub: int) -> np.ndarray:
         n = (1 << depth)
         hs = 1.0 / (n * nsub)
         # substep start times t + s * hs with t = i / n, row-major in (i, s)
         ts = (np.arange(n)[:, None] / n + np.arange(nsub)[None, :] * hs).ravel()
-        x_start = driver.xdot(ts)
-        x_mid = driver.xdot(ts + hs / 2)
-        x_end = driver.xdot(ts + hs)
-        vals = np.empty((n + 1, V.e))
+        x_stages = [driver.xdot(ts), driver.xdot(ts + hs / 2), driver.xdot(ts + hs)]
+        vals = np.empty((n + 1, e))
         vals[0] = y0
-        y = y0.astype(np.float64)
+        y = y0.tolist()
         m = 0
         for i in range(n):
-            for _ in range(nsub):
-                k1 = field(y) @ x_start[m]
-                k2 = field(y + hs * k1 / 2) @ x_mid[m]
-                k3 = field(y + hs * k2 / 2) @ x_mid[m]
-                k4 = field(y + hs * k3) @ x_end[m]
-                y = y + hs * (k1 + 2 * k2 + 2 * k3 + k4) / 6.0
-                if not np.isfinite(y).all():
+            rows = [x[i * nsub:(i + 1) * nsub] for x in x_stages]
+            x_start, x_mid, x_end = [r[:, 0].tolist() for r in rows] if d == 1 else rows
+            for s in range(nsub):
+                k1 = rhs(y, x_start[s])
+                k2 = rhs([a + hs * b / 2 for a, b in zip(y, k1)], x_mid[s])
+                k3 = rhs([a + hs * b / 2 for a, b in zip(y, k2)], x_mid[s])
+                k4 = rhs([a + hs * b for a, b in zip(y, k3)], x_end[s])
+                y = [a + hs * (b1 + 2 * b2 + 2 * b3 + b4) / 6.0
+                     for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, y)):
                     raise BlowUpError(m)
                 m += 1
             vals[i + 1] = y

@@ -295,8 +295,11 @@ def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
     parts = []
     for r0, dist in grid.upper_blocks(i0, i1):
         gap, mask = _block_gaps(r0, dist.shape[0], i1)
-        term = np.where(mask, dist**p * (gap * grid.h) ** (-expo), 0.0)
-        parts.append(float(np.sum(term)))
+        # the discarded pairs u >= v can overflow; a kept pair or a block sum
+        # that overflows reads inf, as the total does in _fsum
+        with np.errstate(over="ignore"):
+            term = np.where(mask, dist**p * (gap * grid.h) ** (-expo), 0.0)
+            parts.append(float(np.sum(term)))
     return _fsum(parts)
 
 

@@ -32,6 +32,15 @@ remainder, the integral's own in-place remainder block, and one
 `partition_dp_max` per dyadic window of the embedding study, where the
 library reads the interval table of the whole path.  The library must match
 them bitwise as well.
+
+The references at the end are the per-point and per-term forms of the
+smoothness and pair-distance code: `sup_on_ball_per_point` rebuilds the
+whole `jacobian` chain and evaluates it at one sample point at a time, where
+the library builds D^order once per call and evaluates the ball sample in one
+batch; `increment_levels_einsum` adds the `einsum` of every term of a
+level-k increment to zeros, where the library adds the two terms that carry
+a scalar level by broadcasting.  The library must match the first bitwise,
+and the pair kernels built on the second bitwise.
 """
 
 import itertools
@@ -44,6 +53,7 @@ from sobrough._kernels import _fallback
 from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
                                  remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
+from sobrough.fields import _ball_sample
 from sobrough.harness import (_dyadic_windows, lift_smooth, make_walk_samples)
 from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels,
                             _pair_level_diff_matrix, control_check, inhom_sobolev_dist,
@@ -369,3 +379,34 @@ def embedding_ratios_per_window(cfg):
             if rhs > 0:
                 (cal if i % 2 == 0 else held).append(lhs / rhs)
     return cal, held
+
+
+def derivative_tensor_recursive(pm, y, order: int) -> np.ndarray:
+    """D^order at one point, with the `jacobian` chain rebuilt on every call."""
+    if order == 0:
+        return pm(y)
+    inner = derivative_tensor_recursive(pm.jacobian(), y, order - 1)
+    return np.moveaxis(inner, len(pm.out_shape), -1)
+
+
+def sup_on_ball_per_point(pm, radius: float, order: int, n_samples: int = 96) -> float:
+    """max Frobenius norm of D^order over the ball sample, with one
+    `derivative_tensor_recursive` per sample point."""
+    worst = 0.0
+    for y in _ball_sample(pm.e_in, radius, n_samples):
+        worst = max(worst, float(np.linalg.norm(derivative_tensor_recursive(pm, y, order))))
+    return worst
+
+
+def increment_levels_einsum(inv_rows, nodes, d, N, k):
+    """Level k of every increment inv_rows[u] ⊗ nodes[v]: the `einsum` of
+    each term A_i ⊗ B_{k-i}, i = 0, ..., k, added to zeros in order."""
+    off, sz = _fallback.level_layout(d, N)
+    m, n = inv_rows.shape[0], nodes.shape[0]
+    acc = np.zeros((m, n, sz[k]))
+    for i in range(k + 1):
+        j = k - i
+        a = inv_rows[:, off[i]:off[i] + sz[i]]
+        b = nodes[:, off[j]:off[j] + sz[j]]
+        acc += np.einsum("ma,nb->mnab", a, b).reshape(m, n, sz[k])
+    return acc

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
+import sobrough
 from sobrough import cli
 from sobrough.cli import CsvError, InputError, RunConfig, ingest_csv, main
 from sobrough.report import load_schema
@@ -294,6 +298,21 @@ class TestNorm:
         res = json.loads(out.read_text())["results"]
         assert res["sobolev_dyadic"] is None and res["sobolev_integral"] is None
         assert all(math.isfinite(res[k]) for k in ("sobolev_dyadic_tail", "holder", "qvar"))
+
+    def test_large_finite_norms_write_nothing_to_stderr(self, tmp_path):
+        f, out = tmp_path / "big.csv", tmp_path / "report.json"
+        ts = np.linspace(0.0, 1.0, 257)
+        # finite norms, though the discarded pairs of the integral norm used to
+        # overflow (alpha 0.6 keeps level 1 without an override warning)
+        write_csv(f, ts, ts[:, None] * 5e75)
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sobrough.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "sobrough", "norm", "--csv", str(f),
+                               "--depth", "8", "--alpha", "0.6", "--out", str(out)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        res = json.loads(out.read_text())["results"]
+        assert all(math.isfinite(res[k]) for k in ("sobolev_integral", "sobolev_dyadic",
+                                                   "holder", "qvar"))
 
 
 class TestDist:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -33,8 +35,10 @@ class TestPolyMap:
         ]
         for pm in maps:
             at = pm.point_evaluator()
-            for y in rng.uniform(-2.0, 2.0, (50, pm.e_in)):
-                assert np.array_equal(at(y), pm(y))
+            # signed zeros, where a sum that did not start from 0.0 would differ
+            zeros = np.array(list(itertools.product([-0.0, 0.0, 1.0], repeat=pm.e_in)))
+            for y in np.vstack([rng.uniform(-2.0, 2.0, (50, pm.e_in)), zeros]):
+                assert np.array(at(y.tolist())).tobytes() == pm(y).tobytes()
 
     def test_partial_derivative(self):
         # f(y) = y0^2 y1: df/dy0 = 2 y0 y1, df/dy1 = y0^2
@@ -144,3 +148,62 @@ class TestVectorField:
     def test_shape_validation(self):
         with pytest.raises(FieldError):
             PolyVectorField(PolyMap.zero(2, (3, 2)))  # state dim mismatch
+
+
+def smooth_fields(rng):
+    """Fields with e <= 3, d <= 3 and degree <= 3, up to four random terms each."""
+    fields = [PolyVectorField.zero(2, 2),
+              PolyVectorField.linear(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))]
+    for e, d, deg in itertools.product((1, 2, 3), (1, 2, 3), (0, 1, 2, 3)):
+        exps = [x for x in itertools.product(range(deg + 1), repeat=e) if sum(x) <= deg]
+        pick = rng.choice(len(exps), size=min(len(exps), 4), replace=False)
+        terms = {exps[i]: rng.standard_normal((e, d)) for i in pick}
+        fields.append(PolyVectorField(PolyMap(e, (e, d), terms)))
+    return fields
+
+
+class TestOneEvaluationPerOrder:
+    """sup_on_ball and derivative_tensor build each derivative map once per
+    call and sup_on_ball evaluates the whole ball sample in one batch; the
+    results must be those of rebuilding the jacobian chain at every point."""
+
+    def test_sup_on_ball_bitwise(self, rng):
+        # lip_surrogate below covers radius 2 with the default sample
+        for V in smooth_fields(rng):
+            for order in range(5):
+                got = V.fmap.sup_on_ball(0.5, order, n_samples=24)
+                want = oracles.sup_on_ball_per_point(V.fmap, 0.5, order, n_samples=24)
+                assert got.hex() == want.hex()
+
+    def test_derivative_tensor_bitwise(self, rng):
+        for V in smooth_fields(rng):
+            y = rng.uniform(-2.0, 2.0, V.e)
+            for order in range(5):
+                got = V.fmap.derivative_tensor(y, order)
+                want = oracles.derivative_tensor_recursive(V.fmap, y, order)
+                assert got.shape == want.shape == (V.e, V.d) + (V.e,) * order
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+    def test_lip_surrogate_bitwise(self, rng, monkeypatch):
+        fields = smooth_fields(rng)
+
+        def bounds():
+            return [(b.value.hex(), [x.hex() for x in b.derivative_sups])
+                    for V in fields for b in (V.lip_surrogate(g) for g in (1.99, 2.99, 3.5))]
+
+        got = bounds()
+        monkeypatch.setattr(PolyMap, "sup_on_ball", oracles.sup_on_ball_per_point)
+        assert got == bounds()
+
+    def test_jacobians_built_once_per_order(self, rng, monkeypatch):
+        calls = []
+        jacobian = PolyMap.jacobian
+        monkeypatch.setattr(PolyMap, "jacobian", lambda pm: calls.append(pm) or jacobian(pm))
+        V = PolyVectorField.linear(rng.standard_normal((2, 2, 2)), rng.standard_normal((2, 2)))
+        V.lip_surrogate(2.99)
+        # orders 0..3 at 101 sample points: 606 builds when each point rebuilt its chain
+        assert len(calls) <= 6
+        calls.clear()
+        derivative_self_test(V.fmap)
+        # orders 1..3 at 4 points: 36 builds when each point rebuilt its chain
+        assert len(calls) <= 3

@@ -3,7 +3,7 @@ import pytest
 
 from sobrough import harness as H
 from sobrough import paths as P
-from sobrough.fields import PolyVectorField
+from sobrough.fields import PolyMap, PolyVectorField
 from sobrough.rde import BlowUpError
 from sobrough.report import dumps
 
@@ -80,8 +80,9 @@ class TestOdeOracle:
 
 class TestOdeOracleMatchesPerSubstepLoop:
     """ode_oracle evaluates the driver derivative once per stage offset on
-    arrays and the field through a single-point form; both must leave the
-    RK4 arithmetic of the per-substep loop bit for bit unchanged."""
+    arrays, and runs the stages on Python floats through a single-point form
+    of the field; both must leave the RK4 arithmetic of the per-substep loop
+    bit for bit unchanged, down to the sign of a zero."""
 
     @staticmethod
     def _problems():
@@ -99,15 +100,38 @@ class TestOdeOracleMatchesPerSubstepLoop:
              np.array([0.1])),
             (PolyVectorField.linear(A, np.array([[0.3, 0.0], [0.0, 0.4]])),
              H.make_trig_driver(21, 2), np.array([0.2, -0.1])),
+            # (e, d) = (2, 1) with a cubic term, which NumPy powers apart
+            (PolyVectorField(PolyMap(2, (2, 1), {(0, 0): np.array([[0.3], [-0.2]]),
+                                                 (1, 1): np.array([[0.5], [0.0]]),
+                                                 (0, 2): np.array([[0.1], [0.2]]),
+                                                 (3, 0): np.array([[-0.2], [0.4]])})),
+             H.make_trig_driver(22, 1), np.array([0.1, -0.3])),
+            # V(y) = y from -0.0 with xdot = -1: each product V(y) xdot is
+            # -0.0, which `@` adds to +0.0
+            (PolyVectorField.scalar([0.0, 1.0]),
+             H.SmoothDriver(1, lambda t: -np.atleast_1d(t)[:, None],
+                            lambda t: -np.ones((np.size(t), 1))), np.array([-0.0])),
         ]
+
+    @staticmethod
+    def _check(V, drv, y0, depth, refinement):
+        res = H.ode_oracle(y0, V, drv, depth, refinement=refinement)
+        values, rich = oracles.rk4_per_substep(y0, V, drv, depth, refinement)
+        assert np.array_equal(res.values, values)
+        assert res.values.tobytes() == values.tobytes()
+        assert res.richardson_error == rich
 
     def test_bitwise_equal(self):
         for V, drv, y0 in self._problems():
             for depth, refinement in ((3, 1), (4, 8), (5, 5)):
-                res = H.ode_oracle(y0, V, drv, depth, refinement=refinement)
-                values, rich = oracles.rk4_per_substep(y0, V, drv, depth, refinement)
-                assert np.array_equal(res.values, values)
-                assert res.richardson_error == rich
+                self._check(V, drv, y0, depth, refinement)
+
+    def test_bitwise_equal_at_convergence_study_size(self):
+        # the deepest oracle of the convergence study, on its quadratic
+        # problem and on the (e, d) = (2, 1) field
+        problems = self._problems()
+        for V, drv, y0 in (problems[2], problems[4]):
+            self._check(V, drv, y0, 8, 16)
 
     def test_blow_up_step_index(self):
         V = PolyVectorField.scalar([0.0, 0.0, 4.0])

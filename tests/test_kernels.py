@@ -2,6 +2,7 @@
 pair kernels against increments built pair by pair with `algebra`."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from sobrough import algebra as A
 from sobrough._kernels import _fallback
 
-from oracles import chen_prefix_per_row, interval_dp_table_per_cell
+from oracles import chen_prefix_per_row, increment_levels_einsum, interval_dp_table_per_cell
 
 
 def random_group_batch(rng, n, d, N):
@@ -115,3 +116,53 @@ class TestPairKernelsMatchAlgebra:
                          for u in range(17) for v in range(u + 1, 17))
         got = _fallback.sobolev_pair_sum(nodes, inv, 2, 2, p, expo, h, 0, 17)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestIncrementLevels:
+    """_increment_levels adds the two terms with a scalar-level factor by
+    broadcasting; the pair kernels must read as with every term's einsum."""
+
+    @pytest.mark.parametrize("d,N", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
+    def test_pair_kernels_bitwise_equal_to_einsum_levels(self, rng, monkeypatch, d, N):
+        n1, _ = random_group_batch(rng, 23, d, N)
+        n2, _ = random_group_batch(rng, 23, d, N)
+        n2[3:6, 1:] = n1[3:6, 1:]                    # zero level differences
+        inv1 = _fallback.inverse_batch(n1[5:16], d, N)
+        inv2 = _fallback.inverse_batch(n2[5:16], d, N)
+
+        def kernels():
+            return [_fallback.hom_dist_block(inv1, n1, d, N).tobytes()] + [
+                _fallback.level_diff_block(inv1, n1, inv2, n2, d, N, k).tobytes()
+                for k in range(1, N + 1)]
+
+        for k in range(1, N + 1):
+            got = _fallback._increment_levels(inv1, n1, d, N, k)
+            assert np.array_equal(got, increment_levels_einsum(inv1, n1, d, N, k))
+        got = kernels()
+        monkeypatch.setattr(_fallback, "_increment_levels", increment_levels_einsum)
+        assert got == kernels()
+
+    def test_rejects_scalar_level_other_than_one(self, rng):
+        nodes, _ = random_group_batch(rng, 4, 2, 2)
+        inv = _fallback.inverse_batch(nodes, 2, 2)
+        nodes[1, 0] = 2.0
+        with pytest.raises(ValueError, match="scalar level 1"):
+            _fallback.hom_dist_block(inv, nodes, 2, 2)
+
+    def test_hom_dist_block_transient_memory(self):
+        d, N, m, n = 2, 2, 128, 1025
+        segs = np.zeros((n - 1, 7))
+        segs[:, 0] = 1.0
+        segs[:, 1:3] = np.random.default_rng(8).standard_normal((n - 1, 2)) / 32
+        nodes = _fallback.chen_prefix(segs, d, N)
+        inv = _fallback.inverse_batch(nodes[:m], d, N)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _fallback.hom_dist_block(inv, nodes, d, N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # every level-2 term as its own einsum temporary reads 12 (m, n) arrays
+        assert peak - base <= 9 * m * n * 8

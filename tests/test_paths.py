@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -154,6 +155,17 @@ class TestSobolevIntegral:
         # 0.10 times the largest float: each is finite, their total is not
         path = P.VectorPath(np.linspace(0, 1, 257)[:, None] * 1.235e76)
         with np.errstate(over="ignore"):
+            assert P.sobolev_norm_integral(path, ALPHA, PP) == math.inf
+
+    def test_overflow_warns_nothing(self):
+        # each block computes the terms of its discarded pairs u >= v too;
+        # on this path they overflow, which used to warn
+        path = P.VectorPath(np.linspace(0, 1, 257)[:, None] * 1e76)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert P.sobolev_norm_integral(path, ALPHA, PP) == 7.0594842962162165e+75
+            # overflow in a kept pair still reads inf
+            path = P.VectorPath(np.linspace(0, 1, 257)[:, None] * 1e80)
             assert P.sobolev_norm_integral(path, ALPHA, PP) == math.inf
 
 
