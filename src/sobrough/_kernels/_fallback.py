@@ -4,6 +4,15 @@ Arrays are float64 in any memory layout.  ``interval_dp_table`` and
 ``partition_dp_max`` read the pair weights ``w`` by columns, so a column-major
 ``w`` spares them a transposed copy and strided reads.  Tensor coefficients
 are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
+
+The pair kernels ``hom_dist_block`` and ``level_diff_block`` work
+component-major: level k of the m × n increments is a (d^k, m, n) array, one
+(m, n) plane per coefficient, so that every NumPy inner loop runs over the n
+columns rather than over the d^k (mostly 2 or 4) coefficients of one pair.
+The squared planes are summed by a halving tree (``_square_sum``), which for
+d^k ≤ 4 is the order of the ``einsum("mnc,mnc->mn")`` it replaces, so those
+distances are unchanged to the bit; for d^k ≥ 8 the tree fixes an order that
+no longer depends on NumPy's SIMD dispatch.
 """
 
 import functools
@@ -91,42 +100,70 @@ def inverse_batch(nodes, d, N):
     return acc
 
 
-def _increment_levels(inv_rows, nodes, d, N, k):
-    """Level-k coefficients of inv_rows[u] ⊗ nodes[v] for all (u, v); shape (m, n, d^k).
+def _increment_planes(inv_rows, nodes, d, N, k):
+    """Level-k coefficients of inv_rows[u] ⊗ nodes[v] for all (u, v); shape (d^k, m, n).
 
     Level k of the product is Σ_i A_i ⊗ B_{k−i} for A = inv_rows, B = nodes.
-    Both have scalar level exactly 1, so the i = 0 term is B_k and the i = k
-    term is A_k: they are added by broadcasting, and the first of the other
-    terms is written straight into the result.  The sum is that of adding
+    Coefficient c = a·d^{k−i} + b of a term is the plane A_i[:, a] ⊗ B_{k−i}[:, b],
+    formed by broadcasting from the transposed level slices, so that every
+    inner loop runs over the n columns.  Both factors have scalar level
+    exactly 1, so the i = 0 term is B_k and the i = k term is A_k; the
+    i = 1 term is written straight into the result, then B_k, the middle
+    terms and A_k are added in that order.  Each plane is that of adding
     every term's `einsum` to zeros in the order i = 0, …, k, except that
     0 + B_k is B_k, which can only change the sign of a zero."""
     off, sz = level_layout(d, N)
     if np.any(inv_rows[:, 0] != 1.0) or np.any(nodes[:, 0] != 1.0):
         raise ValueError("pair kernels need rows with scalar level 1")
-    m = inv_rows.shape[0]
-    n = nodes.shape[0]
-    A = [_lv(inv_rows, off, sz, i) for i in range(k + 1)]
-    B = [_lv(nodes, off, sz, j) for j in range(k + 1)]
-    acc = np.empty((m, n, sz[k]))
+    At = np.ascontiguousarray(inv_rows.T)
+    Bt = np.ascontiguousarray(nodes.T)
+    A = [At[off[i]:off[i] + sz[i]] for i in range(k + 1)]
+    B = [Bt[off[j]:off[j] + sz[j]] for j in range(k + 1)]
+    m, n = At.shape[1], Bt.shape[1]
+    acc = np.empty((sz[k], m, n))
     if k == 1:
-        return np.add(B[1][None], A[1][:, None], out=acc)
-    np.einsum("ma,nb->mnab", A[1], B[k - 1], out=acc.reshape(m, n, sz[1], sz[k - 1]))
-    acc += B[k][None]
+        return np.add(B[1][:, None, :], A[1][:, :, None], out=acc)
+
+    def factors(i):  # of A_i ⊗ B_{k−i}, broadcast to (d^i, d^{k−i}, m, n)
+        return A[i][:, None, :, None], B[k - i][None, :, None, :]
+
+    np.multiply(*factors(1), out=acc.reshape(sz[1], sz[k - 1], m, n))
+    acc += B[k][:, None, :]
     for i in range(2, k):
-        acc += np.einsum("ma,nb->mnab", A[i], B[k - i]).reshape(m, n, sz[k])
-    acc += A[k][:, None]
+        acc += np.multiply(*factors(i)).reshape(sz[k], m, n)
+    acc += A[k][:, :, None]
     return acc
+
+
+def _square_sum(planes):
+    """Σ_c planes[c]² by a halving tree, in place; returns the (m, n) plane 0.
+
+    The c squared planes are padded to a power of two P, then plane i +=
+    plane i + P/2 for each i that has a partner, and so on down to one
+    plane.  For c ≤ 4 this is the order of NumPy's `einsum("mnc,mnc->mn")`
+    on x86-64 (2 lanes: (p0 + p2) + (p1 + p3), and (p0 + p2) + p1 for
+    c = 3); for larger c that order depends on the SIMD dispatch and uses
+    FMA, so this one is fixed instead, independent of the CPU.  A sum that
+    overflows reads inf without a warning, as it does from einsum."""
+    c = planes.shape[0]
+    with np.errstate(over="ignore"):
+        np.square(planes, out=planes)
+        while c > 1:
+            half = 1 << ((c - 1).bit_length() - 1)
+            planes[:c - half] += planes[half:c]
+            c = half
+    return planes[0]
 
 
 def hom_dist_block(inv_rows, nodes, d, N):
     """Homogeneous norms of increments inv_rows[u] ⊗ nodes[v]; shape (m, n)."""
-    m = inv_rows.shape[0]
-    n = nodes.shape[0]
-    out = np.zeros((m, n))
+    out = np.zeros((inv_rows.shape[0], nodes.shape[0]))
     for k in range(1, N + 1):
-        lev = _increment_levels(inv_rows, nodes, d, N, k)
-        ss = np.einsum("mnc,mnc->mn", lev, lev)
-        out += ss ** (0.5 / k)
+        lev = _increment_planes(inv_rows, nodes, d, N, k)
+        ss = _square_sum(lev)
+        ss **= 0.5 / k
+        out += ss
+        del lev, ss  # before the next level's planes are built
     return out
 
 
@@ -142,9 +179,9 @@ def hom_dist_matrix(nodes, inv, d, N, i0, i1):
 
 def level_diff_block(inv1, nodes1, inv2, nodes2, d, N, k):
     """|π_k(increment¹_{u,v} − increment²_{u,v})| for all (u, v); shape (m, n)."""
-    lev = _increment_levels(inv1, nodes1, d, N, k)
-    lev -= _increment_levels(inv2, nodes2, d, N, k)
-    return np.sqrt(np.einsum("mnc,mnc->mn", lev, lev))
+    lev = _increment_planes(inv1, nodes1, d, N, k)
+    lev -= _increment_planes(inv2, nodes2, d, N, k)
+    return np.sqrt(_square_sum(lev))
 
 
 def sobolev_pair_sum(nodes, inv, d, N, p, expo, h, i0, i1):

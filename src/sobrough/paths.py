@@ -13,6 +13,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _kernels
 from . import algebra
@@ -248,7 +249,19 @@ class VectorPath:
 
     def dist_block(self, r0, r1, c0, c1) -> np.ndarray:
         diff = self.values[r0:r1, None, :] - self.values[None, c0:c1, :]
-        return np.sqrt(np.einsum("mnc,mnc->mn", diff, diff))
+        dist = np.sqrt(np.einsum("mnc,mnc->mn", diff, diff))
+        # the sum of squares overflows once a difference passes about 1.3e154;
+        # recompute those entries with each difference scaled by its largest
+        # magnitude, where the difference itself is finite
+        over = np.isinf(dist)
+        if over.any():
+            big = diff[over]
+            scale = np.abs(big).max(axis=1, keepdims=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                unit = big / scale
+                fixed = scale[:, 0] * np.sqrt(np.einsum("kc,kc->k", unit, unit))
+            dist[over] = np.where(np.isfinite(big).all(axis=1), fixed, np.inf)
+        return dist
 
     def dist_matrix(self, i0: int, i1: int) -> np.ndarray:
         return self.dist_block(i0, i1, i0, i1)
@@ -272,13 +285,19 @@ def _upper_blocks(grid, i0: int, i1: int):
         yield r0, grid.dist_block(r0, min(r0 + _BLOCK, i1), r0, i1)
 
 
-def _block_gaps(r0: int, rows: int, i1: int):
-    """Index gaps v - u over an upper block, with a mask of the pairs u < v;
-    masked-out gaps read 1 so that powers of them stay finite."""
-    gap = (np.arange(r0, i1)[None, :] - np.arange(r0, r0 + rows)[:, None]).astype(float)
-    mask = gap > 0
-    gap[~mask] = 1.0
-    return gap, mask
+def _gap_powers(h: float, power: float, width: int) -> np.ndarray:
+    """(g h)^power for the index gaps g = 1 - _BLOCK, ..., width - 1, where
+    the gaps g <= 0 read 1 so that their powers stay finite; _block_view
+    lays them out over an upper block."""
+    gaps = np.arange(1 - _BLOCK, width, dtype=np.float64)
+    gaps[:_BLOCK] = 1.0
+    return (gaps * h) ** power
+
+
+def _block_view(by_gap: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """Read-only (rows, cols) view of _gap_powers over an upper block:
+    view[u - r0, v - r0] is the entry of the gap v - u."""
+    return sliding_window_view(by_gap, cols)[_BLOCK - rows:_BLOCK][::-1]
 
 
 def _fsum(terms) -> float:
@@ -292,13 +311,13 @@ def _fsum(terms) -> float:
 def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
     """sum over i0 <= u < v < i1 of d(X_u, X_v)^p * ((v - u) h)^(-expo),
     one partial sum per block row."""
+    weights = _gap_powers(grid.h, -expo, i1 - i0)
     parts = []
     for r0, dist in grid.upper_blocks(i0, i1):
-        gap, mask = _block_gaps(r0, dist.shape[0], i1)
         # the discarded pairs u >= v can overflow; a kept pair or a block sum
         # that overflows reads inf, as the total does in _fsum
         with np.errstate(over="ignore"):
-            term = np.where(mask, dist**p * (gap * grid.h) ** (-expo), 0.0)
+            term = np.triu(dist**p * _block_view(weights, *dist.shape), 1)
             parts.append(float(np.sum(term)))
     return _fsum(parts)
 
@@ -360,10 +379,10 @@ def holder_norm(path, alpha: float, window=None) -> float:
         raise PathError(f"alpha={alpha} outside (0, 1)")
     grid = _as_grid(path)
     a, b = _window_indices(grid, window)
+    spans = _gap_powers(grid.h, alpha, b - a)
     worst = 0.0
     for r0, dist in grid.upper_blocks(a, b):
-        gap, mask = _block_gaps(r0, dist.shape[0], b)
-        ratios = np.where(mask, dist / (gap * grid.h) ** alpha, 0.0)
+        ratios = np.triu(dist / _block_view(spans, *dist.shape), 1)
         worst = max(worst, float(np.max(ratios)))
     return worst
 

@@ -38,9 +38,14 @@ smoothness and pair-distance code: `sup_on_ball_per_point` rebuilds the
 whole `jacobian` chain and evaluates it at one sample point at a time, where
 the library builds D^order once per call and evaluates the ball sample in one
 batch; `increment_levels_einsum` adds the `einsum` of every term of a
-level-k increment to zeros, where the library adds the two terms that carry
-a scalar level by broadcasting.  The library must match the first bitwise,
-and the pair kernels built on the second bitwise.
+level-k increment to zeros, as an (m, n, d^k) array, where the library builds
+the (d^k, m, n) coefficient planes and adds the two terms that carry a scalar
+level by broadcasting.  `hom_dist_block_einsum` and `level_diff_block_einsum`
+reduce those levels with `einsum`, as the pair kernels once did, and
+`hom_dist_block_per_pair` and `level_diff_block_per_pair` sum each pair's
+squared coefficients in Python floats, zero-padded to a power of two and
+added pairwise.  The library must match the first, the second and the last
+two bitwise, and the einsum kernels bitwise wherever d^k <= 4.
 """
 
 import itertools
@@ -410,3 +415,51 @@ def increment_levels_einsum(inv_rows, nodes, d, N, k):
         b = nodes[:, off[j]:off[j] + sz[j]]
         acc += np.einsum("ma,nb->mnab", a, b).reshape(m, n, sz[k])
     return acc
+
+
+def hom_dist_block_einsum(inv_rows, nodes, d, N):
+    """Homogeneous norms of the increments, each level reduced by `einsum`."""
+    out = np.zeros((inv_rows.shape[0], nodes.shape[0]))
+    for k in range(1, N + 1):
+        lev = increment_levels_einsum(inv_rows, nodes, d, N, k)
+        out += np.einsum("mnc,mnc->mn", lev, lev) ** (0.5 / k)
+    return out
+
+
+def level_diff_block_einsum(inv1, nodes1, inv2, nodes2, d, N, k):
+    """Level-k increment differences, reduced by `einsum`."""
+    lev = increment_levels_einsum(inv1, nodes1, d, N, k) - increment_levels_einsum(
+        inv2, nodes2, d, N, k)
+    return np.sqrt(np.einsum("mnc,mnc->mn", lev, lev))
+
+
+def _pairwise_square_sums(lev):
+    """(m, n) sums of squares of lev[u, v, :], one pair at a time: the squares
+    are padded with zeros to a power-of-two count, then added pairwise,
+    first half to second half, until one is left."""
+    m, n, c = lev.shape
+    size = 1 << (c - 1).bit_length()
+    out = np.empty((m, n))
+    for u in range(m):
+        for v in range(n):
+            terms = [x * x for x in lev[u, v].tolist()] + [0.0] * (size - c)
+            while len(terms) > 1:
+                half = len(terms) // 2
+                terms = [terms[i] + terms[i + half] for i in range(half)]
+            out[u, v] = terms[0]
+    return out
+
+
+def hom_dist_block_per_pair(inv_rows, nodes, d, N):
+    """Homogeneous norms of the increments from per-pair halving-tree sums."""
+    out = np.zeros((inv_rows.shape[0], nodes.shape[0]))
+    for k in range(1, N + 1):
+        out += _pairwise_square_sums(increment_levels_einsum(inv_rows, nodes, d, N, k)) ** (0.5 / k)
+    return out
+
+
+def level_diff_block_per_pair(inv1, nodes1, inv2, nodes2, d, N, k):
+    """Level-k increment differences from per-pair halving-tree sums."""
+    lev = increment_levels_einsum(inv1, nodes1, d, N, k) - increment_levels_einsum(
+        inv2, nodes2, d, N, k)
+    return np.sqrt(_pairwise_square_sums(lev))

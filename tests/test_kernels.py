@@ -10,7 +10,9 @@ import pytest
 from sobrough import algebra as A
 from sobrough._kernels import _fallback
 
-from oracles import chen_prefix_per_row, increment_levels_einsum, interval_dp_table_per_cell
+from oracles import (chen_prefix_per_row, hom_dist_block_einsum, hom_dist_block_per_pair,
+                     increment_levels_einsum, interval_dp_table_per_cell,
+                     level_diff_block_einsum, level_diff_block_per_pair)
 
 
 def random_group_batch(rng, n, d, N):
@@ -119,28 +121,44 @@ class TestPairKernelsMatchAlgebra:
 
 
 class TestIncrementLevels:
-    """_increment_levels adds the two terms with a scalar-level factor by
-    broadcasting; the pair kernels must read as with every term's einsum."""
+    """_increment_planes builds each level as (d^k, m, n) coefficient planes
+    and adds the two terms with a scalar-level factor by broadcasting; the
+    pair kernels sum the squared planes by a halving tree."""
 
-    @pytest.mark.parametrize("d,N", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
-    def test_pair_kernels_bitwise_equal_to_einsum_levels(self, rng, monkeypatch, d, N):
+    @staticmethod
+    def pair_batches(rng, d, N):
         n1, _ = random_group_batch(rng, 23, d, N)
         n2, _ = random_group_batch(rng, 23, d, N)
         n2[3:6, 1:] = n1[3:6, 1:]                    # zero level differences
         inv1 = _fallback.inverse_batch(n1[5:16], d, N)
         inv2 = _fallback.inverse_batch(n2[5:16], d, N)
+        return inv1, n1, inv2, n2
 
-        def kernels():
-            return [_fallback.hom_dist_block(inv1, n1, d, N).tobytes()] + [
-                _fallback.level_diff_block(inv1, n1, inv2, n2, d, N, k).tobytes()
-                for k in range(1, N + 1)]
+    @staticmethod
+    def kernel_bytes(hom_dist_block, level_diff_block, inv1, n1, inv2, n2, d, N):
+        return [hom_dist_block(inv1, n1, d, N).tobytes()] + [
+            level_diff_block(inv1, n1, inv2, n2, d, N, k).tobytes() for k in range(1, N + 1)]
 
+    @pytest.mark.parametrize("d,N", [(1, 1), (2, 1), (2, 2), (3, 2), (2, 3), (2, 4), (3, 3)])
+    def test_pair_kernels_bitwise_equal_to_einsum_levels(self, rng, d, N):
+        inv1, n1, inv2, n2 = batches = self.pair_batches(rng, d, N)
         for k in range(1, N + 1):
-            got = _fallback._increment_levels(inv1, n1, d, N, k)
-            assert np.array_equal(got, increment_levels_einsum(inv1, n1, d, N, k))
-        got = kernels()
-        monkeypatch.setattr(_fallback, "_increment_levels", increment_levels_einsum)
-        assert got == kernels()
+            got = _fallback._increment_planes(inv1, n1, d, N, k)
+            want = increment_levels_einsum(inv1, n1, d, N, k)
+            assert got.shape == (d**k, 11, 23)
+            assert np.array_equal(got, np.moveaxis(want, -1, 0))
+        got = self.kernel_bytes(_fallback.hom_dist_block, _fallback.level_diff_block, *batches, d, N)
+        assert got == self.kernel_bytes(hom_dist_block_per_pair, level_diff_block_per_pair,
+                                        *batches, d, N)
+
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 3), (2, 1), (2, 2), (3, 1), (4, 1)])
+    def test_pair_kernels_bitwise_equal_to_einsum_kernels(self, rng, d, N):
+        """Where every level has at most 4 coefficients, the halving tree is
+        the order in which einsum sums them."""
+        batches = self.pair_batches(rng, d, N)
+        got = self.kernel_bytes(_fallback.hom_dist_block, _fallback.level_diff_block, *batches, d, N)
+        assert got == self.kernel_bytes(hom_dist_block_einsum, level_diff_block_einsum,
+                                        *batches, d, N)
 
     def test_rejects_scalar_level_other_than_one(self, rng):
         nodes, _ = random_group_batch(rng, 4, 2, 2)
@@ -156,13 +174,17 @@ class TestIncrementLevels:
         segs[:, 1:3] = np.random.default_rng(8).standard_normal((n - 1, 2)) / 32
         nodes = _fallback.chen_prefix(segs, d, N)
         inv = _fallback.inverse_batch(nodes[:m], d, N)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            _fallback.hom_dist_block(inv, nodes, d, N)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # every level-2 term as its own einsum temporary reads 12 (m, n) arrays
-        assert peak - base <= 9 * m * n * 8
+        inv2 = _fallback.inverse_batch(nodes[1:m + 1], d, N)
+        calls = [lambda: _fallback.hom_dist_block(inv, nodes, d, N),
+                 lambda: _fallback.level_diff_block(inv, nodes, inv2, nodes, d, N, 2)]
+        for call in calls:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # every level-2 term as its own einsum temporary reads 12 (m, n) arrays
+            assert peak - base <= 9 * m * n * 8

@@ -118,6 +118,14 @@ class TestHolder:
         vals = rng.standard_normal(17)
         assert P.holder_norm(3.0 * vals, 0.3) == pytest.approx(3.0 * P.holder_norm(vals, 0.3), rel=1e-14)
 
+    def test_differences_past_the_square_overflow(self):
+        # every difference of 1e200 * t squares to inf; the norms do not
+        path = np.linspace(0, 1, 257)[:, None] * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert P.holder_norm(path, 0.4) == pytest.approx(1e200, rel=1e-12)
+            assert P.qvar_norm(path, 1.0) == pytest.approx(1e200, rel=1e-12)
+
 
 class TestSobolevIntegral:
     def test_constant(self):
