@@ -13,7 +13,7 @@ from .controlled import (ControlledPath, SmoothMap, compose_smooth, controlled_n
 from .fields import PolyMap, PolyVectorField
 from .paths import (IntervalFunction, SampledRoughPath, VectorPath, control_check,
                     holder_norm, inhom_qvar_dist, inhom_sobolev_dist, mixed_dist,
-                    qvar_norm, sobolev_norm_dyadic, sobolev_norm_integral)
+                    pair_norms, qvar_norm, sobolev_norm_dyadic, sobolev_norm_integral)
 from .rde import (BlowUpError, NonConvergenceError, RdeSolution, euler_step,
                   solve_euler, solve_picard_level2, windowed_solve)
 
@@ -26,7 +26,7 @@ __all__ = [
     "signature_path", "increment", "homogeneous_norm", "rho_metric",
     "check_geometric",
     "SampledRoughPath", "VectorPath", "IntervalFunction",
-    "qvar_norm", "holder_norm", "sobolev_norm_integral", "sobolev_norm_dyadic",
+    "pair_norms", "qvar_norm", "holder_norm", "sobolev_norm_integral", "sobolev_norm_dyadic",
     "inhom_sobolev_dist", "inhom_qvar_dist", "mixed_dist", "control_check",
     "ControlledPath", "SmoothMap", "remainder", "remainder_norm_tildeV",
     "remainder_norm_hatW", "controlled_norm", "compose_smooth", "rough_integral",

@@ -1,8 +1,8 @@
 """The NumPy implementations of the hot kernels, re-exported by ``_kernels``.
 
-Arrays are float64 in any memory layout.  ``interval_dp_table`` and
-``partition_dp_max`` read the pair weights ``w`` by columns, so a column-major
-``w`` spares them a transposed copy and strided reads.  Tensor coefficients
+Arrays are float64 in any memory layout.  The partition DP reads the pair
+weights ``w`` by rows, as they are computed; ``interval_dp_table`` reads them
+by columns, so a column-major ``w`` spares it a transposed copy.  Tensor coefficients
 are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 
 The pair kernels ``hom_dist_block`` and ``level_diff_block`` work
@@ -12,7 +12,8 @@ columns rather than over the d^k (mostly 2 or 4) coefficients of one pair.
 The squared planes are summed by a halving tree (``_square_sum``), which for
 d^k ≤ 4 is the order of the ``einsum("mnc,mnc->mn")`` it replaces, so those
 distances are unchanged to the bit; for d^k ≥ 8 the tree fixes an order that
-no longer depends on NumPy's SIMD dispatch.
+no longer depends on NumPy's SIMD dispatch.  Only entries whose sum of
+squares overflows are recomputed, from scaled coefficients (``_scaled_norms``).
 """
 
 import functools
@@ -136,7 +137,7 @@ def _increment_planes(inv_rows, nodes, d, N, k):
 
 
 def _square_sum(planes):
-    """Σ_c planes[c]² by a halving tree, in place; returns the (m, n) plane 0.
+    """Σ_c planes[c]² by a halving tree, in place; returns plane 0.
 
     The c squared planes are padded to a power of two P, then plane i +=
     plane i + P/2 for each i that has a partner, and so on down to one
@@ -155,15 +156,33 @@ def _square_sum(planes):
     return planes[0]
 
 
+def _scaled_norms(cols):
+    """Euclidean norms of the (c, K) coefficient columns, each column scaled
+    by its largest magnitude before it is squared, so that no square
+    overflows; a column with a non-finite coefficient reads inf."""
+    scale = np.abs(cols).max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        unit = cols / np.where(scale > 0, scale, 1.0)
+        norms = scale * np.sqrt(_square_sum(unit))
+    return np.where(np.isfinite(cols).all(axis=0), norms, np.inf)
+
+
 def hom_dist_block(inv_rows, nodes, d, N):
     """Homogeneous norms of increments inv_rows[u] ⊗ nodes[v]; shape (m, n)."""
     out = np.zeros((inv_rows.shape[0], nodes.shape[0]))
     for k in range(1, N + 1):
-        lev = _increment_planes(inv_rows, nodes, d, N, k)
-        ss = _square_sum(lev)
+        ss = _square_sum(_increment_planes(inv_rows, nodes, d, N, k))
         ss **= 0.5 / k
         out += ss
-        del lev, ss  # before the next level's planes are built
+        del ss  # and its planes, before the next level's are built
+    over = np.isinf(out)
+    if over.any():  # rare: a sum of squares overflowed; rebuild those entries
+        fixed = np.zeros(np.count_nonzero(over))
+        for k in range(1, N + 1):
+            norms = _scaled_norms(_increment_planes(inv_rows, nodes, d, N, k)[:, over])
+            with np.errstate(over="ignore"):
+                fixed += norms ** (1.0 / k)
+        out[over] = fixed
     return out
 
 
@@ -181,7 +200,12 @@ def level_diff_block(inv1, nodes1, inv2, nodes2, d, N, k):
     """|π_k(increment¹_{u,v} − increment²_{u,v})| for all (u, v); shape (m, n)."""
     lev = _increment_planes(inv1, nodes1, d, N, k)
     lev -= _increment_planes(inv2, nodes2, d, N, k)
-    return np.sqrt(_square_sum(lev))
+    out = np.sqrt(_square_sum(lev))
+    over = np.isinf(out)
+    if over.any():  # rare: a sum of squares overflowed; rebuild those entries
+        out[over] = _scaled_norms(_increment_planes(inv1, nodes1, d, N, k)[:, over]
+                                  - _increment_planes(inv2, nodes2, d, N, k)[:, over])
+    return out
 
 
 def sobolev_pair_sum(nodes, inv, d, N, p, expo, h, i0, i1):
@@ -198,16 +222,28 @@ def sobolev_pair_sum(nodes, inv, d, N, p, expo, h, i0, i1):
     return math.fsum(parts)
 
 
+def partition_push_rows(best, r0, w):
+    """Partition DP, row form: best[u+1:] = max(best[u+1:], best[u] + w[u, u+1:])
+    in place for the rows u = r0, r0 + 1, … of an upper block, where w[i, j]
+    weighs the pair (r0 + i, r0 + j) and best[v] is the best sum over
+    partitions of [0, v] so far.  The candidates are the float additions of
+    a pull over the columns, and max is exact, so the result is bitwise the
+    same."""
+    for i in range(w.shape[0]):
+        u = r0 + i
+        later = best[u + 1:]
+        np.maximum(later, best[u] + w[i, i + 1:], out=later)
+
+
 def partition_dp_max(w):
     """Max over partitions 0 = m_0 < … < m_r = n−1 of Σ w[m_i, m_{i+1}]."""
     n = w.shape[0]
     if n < 2:
         return 0.0
-    dp = np.full(n, -np.inf)
-    dp[0] = 0.0
-    for j in range(1, n):
-        dp[j] = np.max(dp[:j] + w[:j, j])
-    return float(dp[n - 1])
+    best = np.full(n, -np.inf)
+    best[0] = 0.0
+    partition_push_rows(best, 0, w)
+    return float(best[n - 1])
 
 
 def interval_dp_table(w):

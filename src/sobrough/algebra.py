@@ -124,14 +124,10 @@ class GroupElement(TruncatedTensor):
 
     __slots__ = ()
 
-    def __init__(self, alg, data, check_geometric_levels=False):
+    def __init__(self, alg, data):
         super().__init__(alg, data)
         if self.data[0] != 1.0:
             raise AlgebraError(f"group element must have scalar level 1, got {self.data[0]}")
-        if check_geometric_levels:
-            rep = check_geometric(self)
-            if not rep.ok:
-                raise AlgebraError(f"element fails geometricity: violation {rep.violation:.3e}")
 
 
 class LieElement(TruncatedTensor):
@@ -294,32 +290,34 @@ class GeometricityReport(NamedTuple):
     violation: float
 
 
-def _shuffle3_violation(g1: np.ndarray, g2: np.ndarray, g3: np.ndarray, d: int) -> float:
-    """Worst |g_{ijk} + g_{jik} + g_{jki} − g_i g_{jk}| over all words."""
-    G3 = g3.reshape(d, d, d)
-    G2 = g2.reshape(d, d)
-    # entries g_{ijk} + g_{jik} + g_{jki} at position (i, j, k)
-    lhs = G3 + np.transpose(G3, (1, 0, 2)) + np.transpose(G3, (2, 0, 1))
-    rhs = g1[:, None, None] * G2[None, :, :]
-    return float(np.max(np.abs(lhs - rhs)))
+def shuffle_violation(alg: TensorAlgebra, rows: np.ndarray) -> float:
+    """Worst violation of the shuffle relations over a (m, L) batch of packed
+    elements: Sym(π_2) = ½ π_1 ⊗ π_1, plus the level-3 relations
+    ⟨g, i ⧢ jk⟩ = g_{ijk} + g_{jik} + g_{jki} = g_i g_{jk} when N = 3.  N ≥ 4
+    is unsupported; level-4 paths must come from signatures, which are
+    geometric by construction."""
+    if alg.level > 3:
+        raise AlgebraError("geometricity check supports N <= 3 only")
+    worst = 0.0
+    d = alg.dim
+    if alg.level >= 2:
+        g1 = rows[:, alg.slice(1)]
+        G2 = rows[:, alg.slice(2)].reshape(-1, d, d)
+        sym = 0.5 * (G2 + np.transpose(G2, (0, 2, 1)))
+        viol = sym - 0.5 * np.einsum("ni,nj->nij", g1, g1)
+        worst = float(np.max(np.abs(viol)))
+    if alg.level >= 3:
+        G3 = rows[:, alg.slice(3)].reshape(-1, d, d, d)
+        # entries g_{ijk} + g_{jik} + g_{jki} at position (i, j, k)
+        lhs = G3 + np.transpose(G3, (0, 2, 1, 3)) + np.transpose(G3, (0, 3, 1, 2))
+        rhs = np.einsum("ni,njk->nijk", g1, G2)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
 
 
 def check_geometric(g: GroupElement, tol: float = GEO_TOL) -> GeometricityReport:
-    """Shuffle-relation check: Sym(π_2) = ½ π_1 ⊗ π_1, plus the level-3
-    relations ⟨g, i ⧢ jk⟩ = g_i g_{jk} when N = 3.  N ≥ 4 is unsupported;
-    level-4 paths must come from signatures, which are geometric by
-    construction."""
-    if g.level > 3:
-        raise AlgebraError("geometricity check supports N <= 3 only")
-    worst = 0.0
-    if g.level >= 2:
-        d = g.dim
-        g1 = g.coeffs(1)
-        G2 = g.coeffs(2).reshape(d, d)
-        sym = 0.5 * (G2 + G2.T)
-        worst = float(np.max(np.abs(sym - 0.5 * np.outer(g1, g1))))
-    if g.level >= 3:
-        worst = max(worst, _shuffle3_violation(g.coeffs(1), g.coeffs(2), g.coeffs(3), g.dim))
+    """Shuffle-relation check of one element (shuffle_violation)."""
+    worst = shuffle_violation(g.alg, g.data[None, :])
     return GeometricityReport(worst <= tol, worst)
 
 

@@ -21,8 +21,7 @@ from .controlled import (compose_smooth, coordinate_controlled, remainder_norm_h
                          remainder_norm_tildeV, rough_integral)
 from .fields import FieldError, PolyVectorField
 from .paths import (PathError, SampledRoughPath, holder_norm, inhom_sobolev_dist,
-                    mixed_dist, qvar_norm, sobolev_norm_dyadic, sobolev_norm_integral,
-                    _floor_bracket)
+                    mixed_dist, pair_norms, sobolev_norm_dyadic, _floor_bracket)
 from .rde import BlowUpError, NonConvergenceError, solve_euler, solve_picard_level2, windowed_solve
 from .report import build_report, write_report
 
@@ -256,12 +255,12 @@ def norm(alpha, p_, level, depth, seed, config_path, out, csv):
         results["holder"] = holder_norm(X, cfg.alpha)
     else:
         dy = sobolev_norm_dyadic(X, cfg.alpha, cfg.p)
-        qvar = qvar_norm(X, 1.0 / cfg.alpha)  # first: it keeps the pair distances
-        results["sobolev_integral"] = sobolev_norm_integral(X, cfg.alpha, cfg.p)
+        pn = pair_norms(X, qvar=1.0 / cfg.alpha, holder=cfg.alpha, integral=(cfg.alpha, cfg.p))
+        results["sobolev_integral"] = pn.integral
         results["sobolev_dyadic"] = dy.value
         results["sobolev_dyadic_tail"] = dy.tail
-        results["holder"] = holder_norm(X, cfg.alpha)
-        results["qvar"] = qvar
+        results["holder"] = pn.holder
+        results["qvar"] = pn.qvar
     prov = {f"results.{k}": "computed" for k in results if k != "input"}
     write_report(build_report(cfg.echo("norm", csv=csv), results, prov), out)
 

@@ -70,7 +70,6 @@ class SampledRoughPath:
         self.nodes.setflags(write=False)
         self._inv_cache = None
         self._dist_cache = None
-        self._upper_cache = None
         self._dyadic_cache = {}
         if not trusted:
             self._validate_geometricity()
@@ -78,21 +77,7 @@ class SampledRoughPath:
     def _validate_geometricity(self):
         if self.alg.level > 3:
             raise PathError("cannot verify geometricity for N > 3; construct via signatures")
-        worst = 0.0
-        d = self.alg.dim
-        if self.alg.level >= 2:
-            g1 = self.nodes[:, self.alg.slice(1)]
-            G2 = self.nodes[:, self.alg.slice(2)].reshape(-1, d, d)
-            sym = 0.5 * (G2 + np.transpose(G2, (0, 2, 1)))
-            viol = sym - 0.5 * np.einsum("ni,nj->nij", g1, g1)
-            worst = max(worst, float(np.max(np.abs(viol))))
-        if self.alg.level >= 3:
-            g1 = self.nodes[:, self.alg.slice(1)]
-            G2 = self.nodes[:, self.alg.slice(2)].reshape(-1, d, d)
-            G3 = self.nodes[:, self.alg.slice(3)].reshape(-1, d, d, d)
-            lhs = G3 + np.transpose(G3, (0, 2, 1, 3)) + np.transpose(G3, (0, 3, 1, 2))
-            rhs = np.einsum("ni,njk->nijk", g1, G2)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = algebra.shuffle_violation(self.alg, self.nodes)
         if worst > algebra.GEO_TOL:
             raise PathError(f"nodes fail geometricity check: violation {worst:.3e}")
 
@@ -154,23 +139,6 @@ class SampledRoughPath:
             return self._dist_cache[i0:i1, i0:i1]
         return _kernels.hom_dist_matrix(self.nodes, self.inv_nodes,
                                         self.alg.dim, self.alg.level, i0, i1)
-
-    def upper_blocks(self, i0: int, i1: int, keep: bool = False):
-        """Distance block rows covering the pairs i0 <= u < v < i1; see _upper_blocks.
-
-        keep=True on the whole grid of up to _CACHE_MAX_NODES nodes computes
-        the blocks once and keeps them read-only, n^2/2 floats in all. Later
-        whole-grid calls return the kept blocks; without them, calls stream."""
-        whole = (i0, i1) == (0, self.n_nodes)
-        if whole and self._upper_cache is not None:
-            return self._upper_cache
-        if not (keep and whole and self.n_nodes <= _CACHE_MAX_NODES):
-            return _upper_blocks(self, i0, i1)
-        blocks = list(_upper_blocks(self, i0, i1))
-        for _, dist in blocks:
-            dist.setflags(write=False)
-        self._upper_cache = blocks
-        return blocks
 
     def dyadic_increments(self, j: int) -> np.ndarray:
         """Packed increments over the 2^j intervals of dyadic level j."""
@@ -266,23 +234,12 @@ class VectorPath:
     def dist_matrix(self, i0: int, i1: int) -> np.ndarray:
         return self.dist_block(i0, i1, i0, i1)
 
-    def upper_blocks(self, i0: int, i1: int, keep: bool = False):
-        return _upper_blocks(self, i0, i1)
-
     def dyadic_dists(self, j: int) -> np.ndarray:
         if self.depth is None:
             raise PathError(f"{self.n_nodes} samples do not fill a dyadic grid")
         stride = 1 << (self.depth - j)
         vals = self.values[::stride]
         return np.linalg.norm(np.diff(vals, axis=0), axis=1)
-
-
-def _upper_blocks(grid, i0: int, i1: int):
-    """(r0, dist) per block of _BLOCK rows of the window [i0, i1), streamed:
-    dist[u - r0, v - r0] = d(X_u, X_v) for rows u in [r0, r0 + _BLOCK) and
-    columns v in [r0, i1), which holds every pair u < v of those rows."""
-    for r0 in range(i0, i1, _BLOCK):
-        yield r0, grid.dist_block(r0, min(r0 + _BLOCK, i1), r0, i1)
 
 
 def _gap_powers(h: float, power: float, width: int) -> np.ndarray:
@@ -306,20 +263,6 @@ def _fsum(terms) -> float:
         return math.fsum(terms)
     except OverflowError:
         return math.inf
-
-
-def _pair_sum(grid, p: float, expo: float, i0: int, i1: int) -> float:
-    """sum over i0 <= u < v < i1 of d(X_u, X_v)^p * ((v - u) h)^(-expo),
-    one partial sum per block row."""
-    weights = _gap_powers(grid.h, -expo, i1 - i0)
-    parts = []
-    for r0, dist in grid.upper_blocks(i0, i1):
-        # the discarded pairs u >= v can overflow; a kept pair or a block sum
-        # that overflows reads inf, as the total does in _fsum
-        with np.errstate(over="ignore"):
-            term = np.triu(dist**p * _block_view(weights, *dist.shape), 1)
-            parts.append(float(np.sum(term)))
-    return _fsum(parts)
 
 
 def _dyadic_sum(mags, alpha: float, p: float, k: int = 1) -> tuple[float, float]:
@@ -349,42 +292,67 @@ def _window_indices(grid, window) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------- norms
 
-def qvar_norm(path, q: float, window=None) -> float:
-    """q-variation over grid partitions of the window, by dynamic programming.
+class PairNorms(NamedTuple):
+    qvar: float | None
+    holder: float | None
+    integral: float | None
 
-    On a whole path of up to _CACHE_MAX_NODES nodes this keeps the pair
-    distances (SampledRoughPath.upper_blocks), and holder_norm and
-    sobolev_norm_integral called after it on the same path read them
-    instead of computing them again."""
-    if q < 1:
-        raise PathError(f"q={q} must be >= 1")
+
+def pair_norms(path, qvar: float | None = None, holder: float | None = None,
+               integral: tuple | None = None, window=None) -> PairNorms:
+    """The norms that read pair distances, in one streamed pass over the
+    window: qvar=q asks for qvar_norm, holder=alpha for holder_norm and
+    integral=(alpha, p) for sobolev_norm_integral; the others read None.
+    Each row block of distances d(X_u, X_v), u < v, is computed once and
+    dropped once all asked-for norms have read it."""
+    if qvar is not None and qvar < 1:
+        raise PathError(f"q={qvar} must be >= 1")
+    if holder is not None and not (0.0 < holder < 1.0):
+        raise PathError(f"alpha={holder} outside (0, 1)")
+    if integral is not None:
+        alpha, p = integral
+        if not (alpha > 1.0 / p and p < math.inf):
+            raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     grid = _as_grid(path)
     a, b = _window_indices(grid, window)
-    if b - a < 2:
-        return 0.0
-    # partition_dp_max reads only the pairs u < v, which the upper blocks hold
-    w = np.zeros((b - a, b - a))
-    for r0, dist in grid.upper_blocks(a, b, keep=True):
-        w[r0 - a:r0 - a + dist.shape[0], r0 - a:] = dist**q
-    best = _kernels.partition_dp_max(w)
-    return best ** (1.0 / q)
+    best = np.full(b - a, -np.inf)
+    best[0] = 0.0
+    worst, parts = 0.0, []
+    if holder is not None:
+        spans = _gap_powers(grid.h, holder, b - a)
+    if integral is not None:
+        weights = _gap_powers(grid.h, -(alpha * p + 1.0), b - a)
+    for r0 in range(a, b, _BLOCK):
+        # rows [r0, r0 + _BLOCK) over the columns [r0, b): every pair u < v once
+        dist = grid.dist_block(r0, min(r0 + _BLOCK, b), r0, b)
+        if qvar is not None:
+            _kernels.partition_push_rows(best, r0 - a, dist**qvar)
+        if holder is not None:
+            ratios = np.triu(dist / _block_view(spans, *dist.shape), 1)
+            worst = max(worst, float(np.max(ratios)))
+            del ratios
+        if integral is not None:
+            # the discarded pairs u >= v can overflow; a kept pair or a block
+            # sum that overflows reads inf, as the total does in _fsum
+            with np.errstate(over="ignore"):
+                term = np.triu(dist**p * _block_view(weights, *dist.shape), 1)
+                parts.append(float(np.sum(term)))
+            del term
+        del dist  # before the next block is computed
+    return PairNorms(
+        float(best[-1]) ** (1.0 / qvar) if qvar is not None else None,
+        worst if holder is not None else None,
+        (2.0 * _fsum(parts) * grid.h * grid.h) ** (1.0 / p) if integral is not None else None)
+
+
+def qvar_norm(path, q: float, window=None) -> float:
+    """q-variation over grid partitions of the window, by dynamic programming."""
+    return pair_norms(path, qvar=q, window=window).qvar
 
 
 def holder_norm(path, alpha: float, window=None) -> float:
-    """max over grid pairs u < v of d(X_u, X_v) / (v - u)^alpha.
-
-    Reads the pair distances that qvar_norm kept for the same path, and
-    otherwise streams them without keeping any."""
-    if not (0.0 < alpha < 1.0):
-        raise PathError(f"alpha={alpha} outside (0, 1)")
-    grid = _as_grid(path)
-    a, b = _window_indices(grid, window)
-    spans = _gap_powers(grid.h, alpha, b - a)
-    worst = 0.0
-    for r0, dist in grid.upper_blocks(a, b):
-        ratios = np.triu(dist / _block_view(spans, *dist.shape), 1)
-        worst = max(worst, float(np.max(ratios)))
-    return worst
+    """max over grid pairs u < v of d(X_u, X_v) / (v - u)^alpha."""
+    return pair_norms(path, holder=alpha, window=window).holder
 
 
 def sobolev_norm_integral(path, alpha: float, p: float, window=None) -> float:
@@ -395,14 +363,7 @@ def sobolev_norm_integral(path, alpha: float, p: float, window=None) -> float:
     diagonal cells excluded (singular integrand, measure zero)."""
     if p == math.inf:
         return holder_norm(path, alpha, window)
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
-    grid = _as_grid(path)
-    a, b = _window_indices(grid, window)
-    if b - a < 2:
-        return 0.0
-    s = _pair_sum(grid, p, alpha * p + 1.0, a, b)
-    return (2.0 * s * grid.h * grid.h) ** (1.0 / p)
+    return pair_norms(path, integral=(alpha, p), window=window).integral
 
 
 class DyadicNorm(NamedTuple):

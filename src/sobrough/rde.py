@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .algebra import GroupElement
 from .controlled import (ControlledPath, SELF_TEST_TOL, _integral_values,
                          compose_smooth, controlled_norm)
@@ -130,7 +129,7 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
             Ynew = y0[None, :] + values
             if not np.all(np.isfinite(Ynew)):
                 raise BlowUpError(it)
-            nxt = ControlledPath(X, Ynew, V.eval_batch(cp.Y))
+            nxt = ControlledPath(X, Ynew, integrand.Y)     # V(Y), evaluated once
             try:
                 residual = controlled_norm(nxt.sub(cp), cutoff=tol if it < max_iter else math.inf)
             except OverflowError:  # a Python float ** (2/p) beyond the float range, p < 2
@@ -150,15 +149,16 @@ def _window_subpath(X: SampledRoughPath, a: int, b: int) -> SampledRoughPath:
     """Relative path X_a^{-1} (x) X_t on [t_a, t_b], reparametrised to [0, 1].
 
     RDE solutions are invariant under this reparametrisation, so window
-    solutions paste into a global one."""
+    solutions paste into a global one.  Node 0, X_a^{-1} (x) X_a, is the
+    identity by definition; it is set so, without the rounding residue of
+    the product."""
     span = b - a
     depth = int(round(math.log2(span)))
     if (1 << depth) != span:
         raise PathError("window must span a power-of-two number of steps")
-    inv_a = np.tile(X.inv_nodes[a], (span + 1, 1))
-    rel = _kernels.rowwise_mul(np.ascontiguousarray(inv_a),
-                               np.ascontiguousarray(X.nodes[a:b + 1]),
-                               X.alg.dim, X.alg.level)
+    rel = X.increment_packed(np.full(span + 1, a), np.arange(a, b + 1))
+    rel[0] = 0.0
+    rel[0, 0] = 1.0
     return SampledRoughPath(X.alg, depth, rel, X.alpha, X.p, trusted=True)
 
 

@@ -12,14 +12,17 @@ library's solvers shortcut: Picard iteration through the public
 `rough_integral`, with the full controlled norm of every difference pair
 taken from its full pair remainder (`controlled_norm_pair`), and RK4 with
 one driver-derivative call and one single-point field evaluation per
-stage.  The two kernel references at the end are the per-element loops
-that the NumPy kernels vectorise: one tensor product per Chen prefix row
-and one `np.max` per interval table entry.  The library must match all
-four bitwise.
+stage.  The kernel references after them are the per-element loops that
+the NumPy kernels vectorise, one tensor product per Chen prefix row and one
+`np.max` per interval table entry, and the partition DP in pull form, one
+`np.max` over the column w[:j, j] per grid point j, where the library pushes
+the rows of w into the later points, and the shuffle relations word by word
+in Python floats, where the library checks a whole batch of elements with
+array operations.  The library must match all six bitwise.
 
 The three path-norm references recompute every pair distance per call,
 streaming row blocks or slicing the full distance matrix, where the
-library shares one set of upper-triangle block rows between the norms.
+library reads each upper-triangle block row once for all three norms.
 The two distance references build each level's difference matrix and
 interval table again for every quantity that reads them, and the outer
 weights out of place, where the library builds them once per level and
@@ -238,6 +241,35 @@ def interval_dp_table_per_cell(w):
         for b in range(a + 1, n):
             row[b] = np.max(row[a:b] + w[a:b, b])
     return T
+
+
+def shuffle_violation_per_word(d, N, rows):
+    """Worst |Sym(g_2) - g_1 g_1 / 2| and |g_ijk + g_jik + g_jki - g_i g_jk|
+    over the rows and words, one Python float expression per word."""
+    worst = 0.0
+    for row in np.asarray(rows).tolist():
+        g1, g2, g3 = row[1:1 + d], row[1 + d:1 + d + d * d], row[1 + d + d * d:]
+        for i, j in itertools.product(range(d), repeat=2):
+            if N >= 2:
+                sym = 0.5 * (g2[i * d + j] + g2[j * d + i])
+                worst = max(worst, abs(sym - 0.5 * (g1[i] * g1[j])))
+            for k in range(d if N >= 3 else 0):
+                lhs = (g3[(i * d + j) * d + k] + g3[(j * d + i) * d + k]) + g3[(j * d + k) * d + i]
+                worst = max(worst, abs(lhs - g1[i] * g2[j * d + k]))
+    return worst
+
+
+def partition_dp_max_pull(w):
+    """Max over partitions of [0, n-1] of the summed weights, pulled:
+    dp[j] = np.max(dp[:j] + w[:j, j]), one column of w per grid point j."""
+    n = w.shape[0]
+    if n < 2:
+        return 0.0
+    dp = np.full(n, -np.inf)
+    dp[0] = 0.0
+    for j in range(1, n):
+        dp[j] = np.max(dp[:j] + w[:j, j])
+    return float(dp[n - 1])
 
 
 _BLOCK = 128

@@ -3,6 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobrough import algebra as A
+from sobrough import paths as P
+
+from oracles import shuffle_violation_per_word
 
 
 def make_alg(d, N):
@@ -272,6 +275,25 @@ class TestGeometricity:
         g = A.random_group_element(alg, rng)
         with pytest.raises(A.AlgebraError):
             A.check_geometric(g)
+
+    @pytest.mark.parametrize("d,N", [(1, 2), (2, 2), (3, 2), (2, 3), (3, 3)])
+    def test_one_batch_check_bitwise(self, rng, d, N):
+        # near-geometric rows: the violations are rounding residue plus noise
+        alg = make_alg(d, N)
+        rows = np.stack([A.random_group_element(alg, rng).data for _ in range(9)])
+        rows[:, 1:] += 1e-12 * rng.standard_normal((9, alg.length - 1))
+        want = shuffle_violation_per_word(d, N, rows)
+        assert A.shuffle_violation(alg, rows).hex() == want.hex()
+        singles = [A.check_geometric(A.GroupElement(alg, r)).violation for r in rows]
+        assert max(singles).hex() == want.hex()
+        # the path check reads the same batch function
+        nodes = np.vstack([A.identity(alg).data, rows])[:5]
+        rows[:, 1:] += 1e-6
+        bad = np.vstack([A.identity(alg).data, rows])[:5]
+        P.SampledRoughPath(alg, 2, nodes, 0.4, 4.0)
+        worst = shuffle_violation_per_word(d, N, bad)
+        with pytest.raises(P.PathError, match=f"violation {worst:.3e}"):
+            P.SampledRoughPath(alg, 2, bad, 0.4, 4.0)
 
 
 class TestEnvelope:

@@ -3,6 +3,7 @@ pair kernels against increments built pair by pair with `algebra`."""
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from sobrough._kernels import _fallback
 
 from oracles import (chen_prefix_per_row, hom_dist_block_einsum, hom_dist_block_per_pair,
                      increment_levels_einsum, interval_dp_table_per_cell,
-                     level_diff_block_einsum, level_diff_block_per_pair)
+                     level_diff_block_einsum, level_diff_block_per_pair,
+                     partition_dp_max_pull)
 
 
 def random_group_batch(rng, n, d, N):
@@ -82,6 +84,33 @@ class TestFallbackMatchesLoops:
         w = rng.random((n, n))
         assert _fallback.interval_dp_table(w)[0, -1] == _fallback.partition_dp_max(w)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_partition_dp_bitwise_equal_to_pull_form(self, rng, n, order, ties):
+        w = rng.random((n, n)) ** 3
+        if ties:  # quarters: many partitions reach exactly the same sum
+            w = np.floor(4 * w) / 4
+        w[n // 2] = 0.0
+        w[n // 4, n // 4:] = -0.0
+        if n > 2:
+            w[n // 3, n // 3 + 1:] = np.inf
+        w = np.asarray(w, order=order)
+        want = partition_dp_max_pull(w).hex()
+        assert _fallback.partition_dp_max(w).hex() == want
+        if n > 2:  # the inf entries are on a partition to the end
+            assert want == "inf"
+            w[n // 3, n // 3 + 1:] = 1.0
+            want = partition_dp_max_pull(w).hex()
+            assert _fallback.partition_dp_max(w).hex() == want
+        # the same rows pushed one upper block at a time
+        for rows in (1, 5, 128):
+            best = np.full(n, -np.inf)
+            best[0] = 0.0
+            for r0 in range(0, n, rows):
+                _fallback.partition_push_rows(best, r0, w[r0:r0 + rows, r0:])
+            assert float(best[-1]).hex() == want
+
 
 class TestPairKernelsMatchAlgebra:
     @pytest.mark.parametrize("case", ["hom_dist_block", "hom_dist_matrix",
@@ -118,6 +147,61 @@ class TestPairKernelsMatchAlgebra:
                          for u in range(17) for v in range(u + 1, 17))
         got = _fallback.sobolev_pair_sum(nodes, inv, 2, 2, p, expo, h, 0, 17)
         assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestPastTheSquareOverflow:
+    """An entry whose sum of squares overflows is rebuilt from its
+    coefficients scaled by their largest magnitude; every other entry keeps
+    the bytes of the einsum kernels.  Scaling a path by 2^e scales every
+    coefficient of level k by 2^(ek) exactly, so the rebuilt distances are
+    2^e times those at scale 1 up to rounding."""
+
+    @staticmethod
+    def scaled_walks(N, e):
+        rng = np.random.default_rng(N)
+        pts = [np.vstack([np.zeros(2), np.cumsum(rng.standard_normal((40, 2)), axis=0)])
+               for _ in range(2)]
+        alg = A.TensorAlgebra(2, N)
+        out = []
+        for scale in (1.0, 2.0**e):
+            nodes = [A.signature_path_packed(scale * x, alg) for x in pts]
+            out.append([(_fallback.inverse_batch(x[5:30], 2, N), x) for x in nodes])
+        return out
+
+    @staticmethod
+    def check(got, old, want):
+        over = np.isinf(old)
+        assert over.any() and not over.all()
+        assert np.array_equal(got[~over], old[~over])
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got[over], want[over], rtol=1e-13)
+
+    @pytest.mark.parametrize("N,e", [(1, 511), (2, 255)])
+    def test_hom_dist_block(self, N, e):
+        small, big = self.scaled_walks(N, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _fallback.hom_dist_block(*big[0], 2, N)
+        with np.errstate(over="ignore"):
+            old = hom_dist_block_einsum(*big[0], 2, N)
+        self.check(got, old, 2.0**e * _fallback.hom_dist_block(*small[0], 2, N))
+
+    @pytest.mark.parametrize("N,e", [(1, 511), (2, 255)])
+    def test_level_diff_block(self, N, e):
+        small, big = self.scaled_walks(N, e)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _fallback.level_diff_block(*big[0], *big[1], 2, N, N)
+        with np.errstate(over="ignore"):
+            old = level_diff_block_einsum(*big[0], *big[1], 2, N, N)
+        want = 2.0 ** (e * N) * _fallback.level_diff_block(*small[0], *small[1], 2, N, N)
+        self.check(got, old, want)
+
+    def test_non_finite_coefficients_stay_inf(self):
+        cols = np.array([[3e200, np.inf, 0.0, np.nan, -4.0],
+                         [4e200, 1.0, 0.0, 1.0, 3.0]])
+        got = _fallback._scaled_norms(cols)
+        assert got.tolist() == [pytest.approx(5e200, rel=1e-15), np.inf, 0.0, np.inf, 5.0]
 
 
 class TestIncrementLevels:

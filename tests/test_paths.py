@@ -126,6 +126,25 @@ class TestHolder:
             assert P.holder_norm(path, 0.4) == pytest.approx(1e200, rel=1e-12)
             assert P.qvar_norm(path, 1.0) == pytest.approx(1e200, rel=1e-12)
 
+    def test_group_increments_past_the_square_overflow(self):
+        # level 1 at 1e200, and level 2 at 2^500 (about 3e150), square to inf
+        # in the pair kernels; the norms do not.  Scaling by a power of two
+        # is exact, so the level-2 norms are 2^500 times those at scale 1
+        # up to the rounding of the rescaled entries
+        pts = np.vstack([np.zeros(2), np.cumsum(np.random.default_rng(5).standard_normal((64, 2)),
+                                                axis=0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ramp = np.linspace(0, 1, 257)[:, None] * 1e200
+            X = P.SampledRoughPath.from_samples(ramp, 1, 0.4, 4.0)
+            assert P.holder_norm(X, 0.4) == pytest.approx(1e200, rel=1e-12)
+            assert P.qvar_norm(X, 1.0) == pytest.approx(1e200, rel=1e-12)
+            small = P.SampledRoughPath.from_samples(pts, 2, 0.4, 4.0)
+            big = P.SampledRoughPath.from_samples(pts * 2.0**500, 2, 0.4, 4.0)
+            for norm in (lambda Y: P.holder_norm(Y, 0.4), lambda Y: P.qvar_norm(Y, 1.0)):
+                assert math.isfinite(norm(big))
+                assert norm(big) == pytest.approx(2.0**500 * norm(small), rel=1e-12)
+
 
 class TestSobolevIntegral:
     def test_constant(self):
@@ -412,52 +431,76 @@ def _reference_norms(grid, window):
 
 
 class TestSharedPairDistances:
-    """A whole-path q-variation keeps the upper distance block rows, and the
-    Hoelder and integral norms after it read them.  Each norm must equal its
-    per-call reference bitwise, whether q-variation runs first or last and
-    with the cache off."""
+    """pair_norms reads each upper distance block row once for all three
+    norms.  Each norm, alone or from one call that asks for all three, must
+    equal its per-call reference bitwise."""
 
-    ORDERS = (("qvar", "holder", "integral"), ("integral", "holder", "qvar"))
-
-    def _check(self, monkeypatch, make, J):
+    def _check(self, make, J):
         for window in _norm_windows(J):
             expected = _reference_norms(make(), window)
-            for cap in (P._CACHE_MAX_NODES, 0):
-                monkeypatch.setattr(P, "_CACHE_MAX_NODES", cap)
-                for order in self.ORDERS:
-                    X = make()
-                    got = {name: _NORMS[name](X, window).hex() for name in order}
-                    assert got == expected, (window, cap, order)
+            got = {name: _NORMS[name](make(), window).hex() for name in _NORMS}
+            assert got == expected, window
+            both = P.pair_norms(make(), qvar=1.0 / ALPHA, holder=ALPHA, integral=(ALPHA, PP),
+                                window=window)
+            assert {name: getattr(both, name).hex() for name in _NORMS} == expected, window
 
     @pytest.mark.parametrize("J", [1, 2, 3, 7, 9])
     @pytest.mark.parametrize("d,N", [(1, 1), (2, 2), (3, 2), (2, 3)])
-    def test_group_path_norms_bitwise(self, monkeypatch, J, d, N):
+    def test_group_path_norms_bitwise(self, J, d, N):
         rng = np.random.default_rng(100 * J + 10 * d + N)
         pts = np.vstack([np.zeros(d), np.cumsum(0.1 * rng.standard_normal(((1 << J), d)), axis=0)])
-        self._check(monkeypatch, lambda: P.SampledRoughPath.from_samples(pts, N, ALPHA, PP), J)
+        self._check(lambda: P.SampledRoughPath.from_samples(pts, N, ALPHA, PP), J)
 
     @pytest.mark.parametrize("J", [3, 9])
-    def test_vector_path_norms_bitwise(self, monkeypatch, J):
+    def test_vector_path_norms_bitwise(self, J):
         vals = np.random.default_rng(J).standard_normal(((1 << J) + 1, 2))
-        self._check(monkeypatch, lambda: P.VectorPath(vals), J)
+        self._check(lambda: P.VectorPath(vals), J)
 
-    def test_whole_path_norms_share_read_only_rows(self):
+    def test_asked_norms_and_argument_checks(self):
+        X = walk_path(60, depth=4)
+        assert P.pair_norms(X) == (None, None, None)
+        got = P.pair_norms(X, holder=ALPHA)
+        assert got.qvar is None and got.integral is None
+        assert got.holder == P.holder_norm(X, ALPHA)
+        with pytest.raises(P.PathError, match="must be >= 1"):
+            P.pair_norms(X, qvar=0.5)
+        with pytest.raises(P.PathError, match="outside"):
+            P.pair_norms(X, holder=1.0)
+        for integral in ((0.2, PP), (ALPHA, math.inf)):
+            with pytest.raises(P.PathError, match="inadmissible"):
+                P.pair_norms(X, integral=integral)
+
+    def test_each_block_row_computed_once(self, monkeypatch):
         X = walk_path(61, depth=8)
         n = X.n_nodes
-        P.qvar_norm(X, 1.0 / ALPHA)
-        blocks = X._upper_cache
-        assert [r0 for r0, _ in blocks] == [0, 128, 256]
-        for r0, dist in blocks:
-            assert dist.shape == (min(128, n - r0), n - r0)
-            assert not dist.flags.writeable
-        P.holder_norm(X, ALPHA)
-        P.sobolev_norm_integral(X, ALPHA, PP)
-        assert X._upper_cache is blocks
-        assert X._dist_cache is None
+        calls = []
+        original = P._kernels.hom_dist_block
 
-    @pytest.mark.parametrize("name", ["holder", "integral"])
-    def test_norm_alone_caches_nothing(self, name):
-        X = walk_path(62, depth=8)
-        _NORMS[name](X, None)
-        assert X._upper_cache is None
+        def counted(inv_rows, nodes, d, N):
+            calls.append((inv_rows.shape[0], nodes.shape[0]))
+            return original(inv_rows, nodes, d, N)
+
+        monkeypatch.setattr(P._kernels, "hom_dist_block", counted)
+        P.pair_norms(X, qvar=1.0 / ALPHA, holder=ALPHA, integral=(ALPHA, PP))
+        # rows [r0, r0 + 128) over the columns [r0, n): every pair u < v once
+        assert calls == [(min(128, n - r0), n - r0) for r0 in range(0, n, 128)]
+
+    def test_streamed_pass_memory(self):
+        # J = 11: one row block is 128 x 2049 floats; the kept rows of all
+        # blocks would be about 8 of them, the (n, n) weights 16
+        X = walk_path(63, depth=11)
+        X.inv_nodes  # the path's own inverses, kept before the pass
+        block = 128 * X.n_nodes * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            P.pair_norms(X, qvar=1.0 / ALPHA, holder=ALPHA, integral=(ALPHA, PP))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 9 * block
+        assert held - base < block // 8
         assert X._dist_cache is None
+        assert not [k for k, v in vars(X).items()
+                    if isinstance(v, np.ndarray) and k not in ("nodes", "_inv_cache")]

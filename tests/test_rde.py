@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from sobrough import _kernels
 from sobrough import algebra as A
 from sobrough import paths as P
 from sobrough import controlled, rde
@@ -233,6 +234,27 @@ class TestPicardStoppingTest:
         assert win.meta["iterations"] == iters
 
 
+class TestWindowSubpath:
+    @pytest.mark.parametrize("level", [2, 3])
+    def test_relative_nodes(self, level):
+        rng = np.random.default_rng(level)
+        pts = np.vstack([np.zeros(2), np.cumsum(0.3 * rng.standard_normal((128, 2)), axis=0)])
+        X = P.SampledRoughPath.from_samples(pts, level, ALPHA, PP)
+        sub = rde._window_subpath(X, 32, 64)
+        ident = np.zeros(X.alg.length)
+        ident[0] = 1.0
+        assert np.array_equal(sub.nodes[0], ident)
+        # every later node is the packed product X_32^-1 (x) X_v
+        inv = np.tile(X.inv_nodes[32], (32, 1))
+        want = _kernels.rowwise_mul(inv, X.nodes[33:65].copy(), 2, level)
+        assert np.array_equal(sub.nodes[1:], want)
+        # the product's node 0 is the identity up to rounding only
+        residue = _kernels.rowwise_mul(X.inv_nodes[32:33], X.nodes[32:33], 2, level)[0]
+        assert np.max(np.abs(residue - ident)) < 1e-12
+        # a validated path accepts it: node 0 exact, geometric up to rounding
+        P.SampledRoughPath(X.alg, 5, sub.nodes.copy(), ALPHA, PP)
+
+
 class TestPicardWork:
     """Each Picard iteration builds the integral path and the dyadic
     remainders only; the (n, n) pair remainder exists only for ||R||_tildeV."""
@@ -252,10 +274,21 @@ class TestPicardWork:
             count(controlled, name)
         count(rde, "rough_integral")
         V, y0, X = noncommuting_case(7)
+        field_evals = 0
+        field_eval_batch = V.eval_batch
+
+        def counted_eval_batch(Y):
+            nonlocal field_evals
+            field_evals += 1
+            return field_eval_batch(Y)
+
+        monkeypatch.setattr(V, "eval_batch", counted_eval_batch)
         sol = rde.solve_picard_level2(y0, V, X)
         assert sol.meta["iterations"] > 2
         assert counts["rough_integral"] == 0
         assert counts["remainder"] == counts["remainder_norm_tildeV"] >= 1
+        # V(Y) once for the start and once per iteration, in compose_smooth
+        assert field_evals == sol.meta["iterations"] + 1
 
 
 class TestWindowed:
