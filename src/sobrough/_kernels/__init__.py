@@ -6,7 +6,7 @@ not also wrap the calls one kernel makes to another.
 """
 
 from ._fallback import (chen_prefix, hom_dist_block, hom_dist_matrix, interval_dp_table,
-                        inverse_batch, level_diff_block, level_layout, partition_dp_max,
-                        partition_push_rows, rowwise_mul, sobolev_pair_sum)
+                        interval_push_rows, inverse_batch, level_diff_block, level_layout,
+                        partition_dp_max, partition_push_rows, rowwise_mul, sobolev_pair_sum)
 
 BACKEND = "python"

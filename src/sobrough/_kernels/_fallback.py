@@ -1,8 +1,8 @@
 """The NumPy implementations of the hot kernels, re-exported by ``_kernels``.
 
-Arrays are float64 in any memory layout.  The partition DP reads the pair
-weights ``w`` by rows, as they are computed; ``interval_dp_table`` reads them
-by columns, so a column-major ``w`` spares it a transposed copy.  Tensor coefficients
+Arrays are float64 in any memory layout.  Both partition DPs take the pair
+weights ``w`` one upper block of rows at a time, as the callers compute them
+(``*_push_rows``); the whole-matrix entry points push all rows.  Tensor coefficients
 are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 
 The pair kernels ``hom_dist_block`` and ``level_diff_block`` work
@@ -20,7 +20,6 @@ import functools
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 _BLOCK = 128
 
@@ -246,24 +245,21 @@ def partition_dp_max(w):
     return float(best[n - 1])
 
 
-def interval_dp_table(w):
-    """T[a, b] = partition_dp_max of w restricted to [a, b], for all a ≤ b.
+def interval_push_rows(T, r0, w):
+    """Interval DP, row form: T[:u+1, u+1:] = max(T[:u+1, u+1:], T[:u+1, u] + w[u, u+1:])
+    in place for the rows u = r0, r0 + 1, … of an upper block, where w[i, j]
+    weighs the pair (r0 + i, r0 + j).  T starts at zero and its rows are pushed
+    in order from row 0, so row u is first written, from −inf, at its own push.
+    The candidates are those of one np.max per entry and max is exact."""
+    for i in range(w.shape[0]):
+        u = r0 + i
+        T[u, u + 1:] = -np.inf
+        later = T[:u + 1, u + 1:]
+        np.maximum(later, T[:u + 1, u, None] + w[i, i + 1:], out=later)
 
-    T[a, a+g] = max_{j<g} T[a, a+j] + w[a+j, a+g] is computed for all a at
-    once, one diagonal g = 1, …, n−1 at a time.  Both operands are strided
-    views with step n+1 between rows: T itself, and w transposed so that
-    the reads along j are contiguous.  np.max gives the same result in any
-    order, so the table is that of one np.max per entry.  A caller whose
-    `w.T` is already C-contiguous (a column-major `w`) avoids the transposed
-    copy, one (n, n) array."""
-    n = w.shape[0]
-    T = np.zeros((n, n))
-    wT = np.ascontiguousarray(w.T, dtype=np.float64)
-    row_step = (n + 1) * T.itemsize
-    flat = T.reshape(-1)
-    for g in range(1, n):
-        rows = n - g
-        t = as_strided(T, (rows, g), (row_step, T.itemsize))
-        u = as_strided(wT[g:], (rows, g), (row_step, T.itemsize))
-        np.max(t + u, axis=1, out=flat[g::n + 1][:rows])
+
+def interval_dp_table(w):
+    """T[a, b] = partition_dp_max of w restricted to [a, b], for all a ≤ b."""
+    T = np.zeros(w.shape)
+    interval_push_rows(T, 0, w)
     return T

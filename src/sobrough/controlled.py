@@ -23,10 +23,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernels
 from .fields import PolyVectorField
 from .paths import (IntervalFunction, PathError, SampledRoughPath, VectorPath,
-                    _dyadic_sum, _mixed_variation, sobolev_norm_dyadic)
+                    _dyadic_sum, _interval_table, _mixed_variation, sobolev_norm_dyadic)
 
 #: derivative self-test threshold for smooth maps (relative, vs finite differences)
 SELF_TEST_TOL = 1e-6
@@ -112,11 +111,9 @@ def remainder_norm_tildeV(R: IntervalFunction, alpha: float, p: float) -> float:
     with the inner variation taken over grid partitions of [u, v]."""
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
-    w = R.pair_norms()
-    w **= 1.0 / (2.0 * alpha)                          # mags ** (1 / (2 alpha))
-    inner = _kernels.interval_dp_table(w)
-    del w
     # inner[u,v]^(2 alpha) is the 1/(2 alpha)-variation of R over [u, v]
+    inner = _interval_table(lambda *span: R._pair_norm_block(*span) ** (1.0 / (2.0 * alpha)),
+                            R.n_nodes)
     return _mixed_variation(inner, alpha, p) ** (2.0 / p)
 
 

@@ -24,7 +24,7 @@ from .fields import PolyVectorField
 from .paths import (IntervalFunction, SampledRoughPath, control_check,
                     integral_norm_interval_function, mixed_dist, inhom_sobolev_dist,
                     sobolev_norm_dyadic, sobolev_norm_integral, VectorPath,
-                    _floor_bracket, _level_tables, _mixed_variation)
+                    _dist_levels, _floor_bracket, _interval_table, _level_diffs, _mixed_variation)
 from .rde import (NonConvergenceError, BlowUpError, RdeSolution, solve_euler,
                   solve_picard_level2)
 
@@ -597,18 +597,26 @@ def stability_controls(X1: SampledRoughPath, X2: SampledRoughPath,
 
     d1 = X1.dist_matrix(0, n)
     d2 = X2.dist_matrix(0, n)
-    t1 = _kernels.interval_dp_table(np.ascontiguousarray(d1 ** (1.0 / alpha)))
-    t2 = _kernels.interval_dp_table(np.ascontiguousarray(d2 ** (1.0 / alpha)))
+    t1 = _kernels.interval_dp_table(d1 ** (1.0 / alpha))
+    t2 = _kernels.interval_dp_table(d2 ** (1.0 / alpha))
 
     intervals = [(np.arange(0, n - 1, 1 << i), np.arange(1 << i, n, 1 << i))
                  for i in range(J, -1, -1)]
-    # each level's dyadic entries are read before _mixed_variation overwrites its table
     levels = []
-    for k, diff, table in _level_tables(X1, X2, alpha):
+    for k in _dist_levels(alpha, X1.alg.level):
+        dif = [np.empty(lo.size) for lo, _ in intervals]
+
+        def weights(r0, r1, c0, c1):
+            diff = _level_diffs(X1, X2, k, r0, r1, c0, c1)
+            for (lo, hi), out in zip(intervals, dif):  # the dyadic pairs in these rows
+                mine = (lo >= r0) & (lo < r1)
+                out[mine] = diff[lo[mine] - r0, hi[mine] - c0]
+            return diff ** (1.0 / (alpha * k))
+
+        table = _interval_table(weights, n)
         tab = [table[lo, hi] for lo, hi in intervals]
-        dif = [diff[lo, hi] for lo, hi in intervals]
         levels.append((k, _mixed_variation(table, alpha, p) ** (k / p), tab, dif))
-        del diff, table
+        del table
 
     omega_levels, omega_prime_levels = [], []
     for j, (lo, hi) in enumerate(intervals):

@@ -257,6 +257,27 @@ def _block_view(by_gap: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return sliding_window_view(by_gap, cols)[_BLOCK - rows:_BLOCK][::-1]
 
 
+def _push_rows(push, out, block, a: int, b: int):
+    """push(out, r0 - a, block(r0, r1, r0, b)) for the rows [r0, r1) of each _BLOCK
+    rows of [a, b): every pair a <= u < v < b once, at [u - r0, v - r0] of its
+    block, which is dropped before the next is computed.  Returns out."""
+    for r0 in range(a, b, _BLOCK):
+        push(out, r0 - a, block(r0, min(r0 + _BLOCK, b), r0, b))
+    return out
+
+
+def _partition_max(weights, a: int, b: int) -> float:
+    """Max over grid partitions of [a, b - 1] of the summed pair weights."""
+    best = np.full(b - a, -np.inf)
+    best[0] = 0.0
+    return float(_push_rows(_kernels.partition_push_rows, best, weights, a, b)[-1])
+
+
+def _interval_table(weights, n: int) -> np.ndarray:
+    """interval_dp_table of the pair weights on the grid [0, n)."""
+    return _push_rows(_kernels.interval_push_rows, np.zeros((n, n)), weights, 0, n)
+
+
 def _fsum(terms) -> float:
     """math.fsum of non-negative terms, or inf (as np.sum) where it overflows."""
     try:
@@ -317,31 +338,27 @@ def pair_norms(path, qvar: float | None = None, holder: float | None = None,
     a, b = _window_indices(grid, window)
     best = np.full(b - a, -np.inf)
     best[0] = 0.0
-    worst, parts = 0.0, []
+    worst, parts = [0.0], []
     if holder is not None:
         spans = _gap_powers(grid.h, holder, b - a)
     if integral is not None:
         weights = _gap_powers(grid.h, -(alpha * p + 1.0), b - a)
-    for r0 in range(a, b, _BLOCK):
-        # rows [r0, r0 + _BLOCK) over the columns [r0, b): every pair u < v once
-        dist = grid.dist_block(r0, min(r0 + _BLOCK, b), r0, b)
+
+    def read(best, r0, dist):
         if qvar is not None:
-            _kernels.partition_push_rows(best, r0 - a, dist**qvar)
+            _kernels.partition_push_rows(best, r0, dist**qvar)
         if holder is not None:
-            ratios = np.triu(dist / _block_view(spans, *dist.shape), 1)
-            worst = max(worst, float(np.max(ratios)))
-            del ratios
+            worst.append(float(np.max(np.triu(dist / _block_view(spans, *dist.shape), 1))))
         if integral is not None:
             # the discarded pairs u >= v can overflow; a kept pair or a block
             # sum that overflows reads inf, as the total does in _fsum
             with np.errstate(over="ignore"):
-                term = np.triu(dist**p * _block_view(weights, *dist.shape), 1)
-                parts.append(float(np.sum(term)))
-            del term
-        del dist  # before the next block is computed
+                parts.append(float(np.sum(np.triu(dist**p * _block_view(weights, *dist.shape), 1))))
+
+    _push_rows(read, best, grid.dist_block, a, b)
     return PairNorms(
         float(best[-1]) ** (1.0 / qvar) if qvar is not None else None,
-        worst if holder is not None else None,
+        max(worst) if holder is not None else None,
         (2.0 * _fsum(parts) * grid.h * grid.h) ** (1.0 / p) if integral is not None else None)
 
 
@@ -387,11 +404,13 @@ def sobolev_norm_dyadic(path, alpha: float, p: float) -> DyadicNorm:
 
 # ------------------------------------------------------------------ distances
 
-def _check_pair(X1: SampledRoughPath, X2: SampledRoughPath):
+def _check_pair(X1: SampledRoughPath, X2: SampledRoughPath, alpha: float):
     if not isinstance(X1, SampledRoughPath) or not isinstance(X2, SampledRoughPath):
         raise PathError("inhomogeneous distances need SampledRoughPath inputs")
     if X1.alg != X2.alg or X1.depth != X2.depth:
         raise PathError("paths must share dimension, level and grid depth")
+    if not (0.0 < alpha < 1.0):
+        raise PathError(f"alpha={alpha} outside (0, 1)")
 
 
 def _dist_levels(alpha: float, N: int) -> range:
@@ -405,16 +424,12 @@ def _dyadic_level_diffs(X1: SampledRoughPath, X2: SampledRoughPath, k: int, j: i
     return np.linalg.norm(lev, axis=1)
 
 
-def _pair_level_diff_matrix(X1: SampledRoughPath, X2: SampledRoughPath, k: int,
-                            a: int, b: int) -> np.ndarray:
-    out = np.empty((b - a, b - a), order="F")  # column-major for the DP kernels
-    for r0 in range(a, b, _BLOCK):
-        r1 = min(r0 + _BLOCK, b)
-        out[r0 - a:r1 - a] = _kernels.level_diff_block(
-            X1.inv_nodes[r0:r1], X1.nodes[a:b],
-            X2.inv_nodes[r0:r1], X2.nodes[a:b],
-            X1.alg.dim, X1.alg.level, k)
-    return out
+def _level_diffs(X1: SampledRoughPath, X2: SampledRoughPath, k: int,
+                 r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """|pi_k(X1-increment - X2-increment)| on the pairs [r0, r1) x [c0, c1)."""
+    return _kernels.level_diff_block(X1.inv_nodes[r0:r1], X1.nodes[c0:c1],
+                                     X2.inv_nodes[r0:r1], X2.nodes[c0:c1],
+                                     X1.alg.dim, X1.alg.level, k)
 
 
 class InhomSobolevDist(NamedTuple):
@@ -429,7 +444,7 @@ def inhom_sobolev_dist(X1: SampledRoughPath, X2: SampledRoughPath,
         rho_k = ( sum_j 2^{j(alpha p - 1)} sum_i |pi_k(Delta^1 - Delta^2)|^{p/k} )^{k/p}
 
     over dyadic-interval increments Delta, and their sum over k = 1..[1/alpha]."""
-    _check_pair(X1, X2)
+    _check_pair(X1, X2, alpha)
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     levels = []
@@ -445,38 +460,21 @@ def inhom_qvar_dist(X1: SampledRoughPath, X2: SampledRoughPath,
 
         rho_k = ( sup_P sum |pi_k(Delta^1 - Delta^2)|^{1/(alpha k)} )^{alpha k}
     """
-    _check_pair(X1, X2)
+    _check_pair(X1, X2, alpha)
     a, b = _window_indices(X1, window)
-    out = []
-    for k in _dist_levels(alpha, X1.alg.level):
-        w = _pair_level_diff_matrix(X1, X2, k, a, b) ** (1.0 / (alpha * k))
-        out.append(_kernels.partition_dp_max(w) ** (alpha * k))
-    return tuple(out)
-
-
-def _level_tables(X1: SampledRoughPath, X2: SampledRoughPath, alpha: float):
-    """(k, diff, table) per distance level k, one level at a time: the level
-    differences diff[u, v] and table[u, v] = rho_k,1/alpha-var;[u,v] ^ (1/(alpha k))."""
-    for k in _dist_levels(alpha, X1.alg.level):
-        diff = _pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
-        yield k, diff, _kernels.interval_dp_table(diff ** (1.0 / (alpha * k)))
-        del diff  # callers drop theirs too, before the next level is built
+    return tuple(_partition_max(lambda *span: _level_diffs(X1, X2, k, *span) ** (1.0 / (alpha * k)),
+                                a, b) ** (alpha * k)
+                 for k in _dist_levels(alpha, X1.alg.level))
 
 
 def _mixed_variation(inner: np.ndarray, alpha: float, p: float) -> float:
     """sup_P sum_{[u,v] in P} inner[u,v]^(alpha p) / |v-u|^(alpha p - 1) over grid
-    partitions of [0, 1].  Overwrites the (n, n) interval table `inner`: work
-    arrays are updated in place, with the float operations of the expression
-    inner ** (alpha p) / np.abs(gaps * h) ** (alpha p - 1)."""
-    idx = np.arange(inner.shape[0], dtype=np.float64)
-    gaps = idx[None, :] - idx[:, None]
-    np.fill_diagonal(gaps, 1.0)
-    gaps *= 1.0 / (idx.size - 1)                       # grid step h
-    np.abs(gaps, out=gaps)
-    gaps **= alpha * p - 1.0
-    inner **= alpha * p
-    inner /= gaps
-    return _kernels.partition_dp_max(inner)
+    partitions of [0, 1], for an (n, n) interval table `inner`, which is only
+    read: the outer weights are formed one upper row block at a time."""
+    n = inner.shape[0]
+    spans = _gap_powers(1.0 / (n - 1), alpha * p - 1.0, n)
+    return _partition_max(lambda r0, r1, c0, c1: inner[r0:r1, c0:c1] ** (alpha * p)
+                          / _block_view(spans, r1 - r0, c1 - c0), 0, n)
 
 
 class MixedDist(NamedTuple):
@@ -492,14 +490,16 @@ def mixed_dist(X1: SampledRoughPath, X2: SampledRoughPath,
         sup_P ( sum_{[u,v] in P} rho_k,1/alpha-var;[u,v]^{p/k} / |v-u|^{alpha p - 1} )^{k/p}
 
     maximised over k.  Inner variations and the outer supremum are grid DPs."""
-    _check_pair(X1, X2)
+    _check_pair(X1, X2, alpha)
     if not alpha > 1.0 / p:
         raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     levels, qvar = [], []
-    for k, diff, table in _level_tables(X1, X2, alpha):
+    for k in _dist_levels(alpha, X1.alg.level):
+        table = _interval_table(lambda *span: _level_diffs(X1, X2, k, *span) ** (1.0 / (alpha * k)),
+                                X1.n_nodes)
         qvar.append(float(table[0, -1]) ** (alpha * k))
         levels.append(_mixed_variation(table, alpha, p) ** (k / p))
-        del diff, table
+        del table  # before the next level's is built
     return MixedDist(tuple(levels), max(levels) if levels else 0.0, tuple(qvar))
 
 
@@ -565,16 +565,16 @@ class IntervalFunction:
         return self.pair[idx, idx + stride]
 
     def pair_norms(self) -> np.ndarray:
-        """(n, n) Euclidean magnitudes; requires full pair storage.
+        """(n, n) Euclidean magnitudes; requires full pair storage."""
+        return self._pair_norm_block(0, self.n_nodes, 0, self.n_nodes)
 
-        The result is column-major (the transpose of a C-contiguous array),
-        so interval_dp_table reads it without a transposed copy."""
+    def _pair_norm_block(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """Euclidean magnitudes on the pairs [r0, r1) x [c0, c1)."""
         if self.pair is None:
             raise PathError("this interval function stores dyadic values only")
-        flat = self.pair.reshape(self.n_nodes, self.n_nodes, -1)
-        mags = np.einsum("uvc,uvc->vu", flat, flat, order="C")
-        np.sqrt(mags, out=mags)
-        return mags.T
+        block = self.pair[r0:r1, c0:c1].reshape(r1 - r0, c1 - c0, -1)
+        mags = np.einsum("uvc,uvc->uv", block, block)
+        return np.sqrt(mags, out=mags)
 
     def __sub__(self, other: "IntervalFunction") -> "IntervalFunction":
         if self.n_nodes != other.n_nodes:
@@ -612,7 +612,11 @@ def control_check(omega: IntervalFunction, tol: float = CTRL_TOL) -> ControlRepo
 def integral_norm_interval_function(path, alpha: float, p: float) -> IntervalFunction:
     """sobolev_norm_integral(.)^p restricted to the dyadic interval family
     (a control function; used with control_check)."""
+    if not (alpha > 1.0 / p and p < math.inf):
+        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
     grid = _as_grid(path)
+    if grid.depth is None:
+        raise PathError("dyadic interval family needs 2^J + 1 samples")
     n = grid.n_nodes
     dist = grid.dist_matrix(0, n)
     gap = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)

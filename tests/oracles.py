@@ -18,16 +18,22 @@ the NumPy kernels vectorise, one tensor product per Chen prefix row and one
 `np.max` over the column w[:j, j] per grid point j, where the library pushes
 the rows of w into the later points, and the shuffle relations word by word
 in Python floats, where the library checks a whole batch of elements with
-array operations.  The library must match all six bitwise.
+array operations.  `interval_dp_table_diagonal` builds the interval table one
+diagonal at a time over strided views of a transposed copy of w, and
+`pair_norms_column_major` forms all pair magnitudes of a two-parameter
+function in one column-major `einsum`, where the library pushes the rows of
+w, and of the magnitudes, block by block.  The library must match all eight
+bitwise.
 
 The three path-norm references recompute every pair distance per call,
 streaming row blocks or slicing the full distance matrix, where the
 library reads each upper-triangle block row once for all three norms.
-The two distance references build each level's difference matrix and
-interval table again for every quantity that reads them, and the outer
-weights out of place, where the library builds them once per level and
-overwrites each table with its outer weights.  The library must match
-these five references bitwise too.
+The two distance references build each level's full difference matrix
+(`pair_level_diff_matrix`) and interval table again for every quantity that
+reads them, and the outer weights out of place as an (n, n) array, where the
+library streams each level's difference rows once into its table and forms
+the outer weights one row block at a time.  The library must match these
+five references bitwise too.
 
 The three pair-remainder and embedding references are the code that the
 library merged into one builder per quantity: the out-of-place pair
@@ -55,6 +61,7 @@ import itertools
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 import sobrough._kernels
 from sobrough._kernels import _fallback
@@ -63,9 +70,9 @@ from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
                                  rough_integral)
 from sobrough.fields import _ball_sample
 from sobrough.harness import (_dyadic_windows, lift_smooth, make_walk_samples)
-from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels,
-                            _pair_level_diff_matrix, control_check, inhom_sobolev_dist,
-                            integral_norm_interval_function, sobolev_norm_dyadic)
+from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels, control_check,
+                            inhom_sobolev_dist, integral_norm_interval_function,
+                            sobolev_norm_dyadic)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -272,7 +279,47 @@ def partition_dp_max_pull(w):
     return float(dp[n - 1])
 
 
+def interval_dp_table_diagonal(w):
+    """Interval partition table one diagonal g = 1, ..., n-1 at a time:
+    T[a, a+g] = max_{j<g} T[a, a+j] + w[a+j, a+g] for all a at once, over
+    strided views of T and of a C-contiguous copy of w transposed."""
+    n = w.shape[0]
+    T = np.zeros((n, n))
+    wT = np.ascontiguousarray(w.T, dtype=np.float64)
+    row_step = (n + 1) * T.itemsize
+    flat = T.reshape(-1)
+    for g in range(1, n):
+        rows = n - g
+        t = as_strided(T, (rows, g), (row_step, T.itemsize))
+        u = as_strided(wT[g:], (rows, g), (row_step, T.itemsize))
+        np.max(t + u, axis=1, out=flat[g::n + 1][:rows])
+    return T
+
+
+def pair_norms_column_major(pair):
+    """(n, n) Euclidean magnitudes of an (n, n, ...) pair array, reduced by
+    one einsum into a C-contiguous (v, u) array and returned transposed."""
+    n = pair.shape[0]
+    flat = pair.reshape(n, n, -1)
+    mags = np.einsum("uvc,uvc->vu", flat, flat, order="C")
+    np.sqrt(mags, out=mags)
+    return mags.T
+
+
 _BLOCK = 128
+
+
+def pair_level_diff_matrix(X1, X2, k, a, b):
+    """Full (b - a, b - a) matrix of |pi_k(X1-increment - X2-increment)| over
+    the window [a, b), column-major, filled by rows of level_diff_block."""
+    out = np.empty((b - a, b - a), order="F")
+    for r0 in range(a, b, _BLOCK):
+        r1 = min(r0 + _BLOCK, b)
+        out[r0 - a:r1 - a] = sobrough._kernels.level_diff_block(
+            X1.inv_nodes[r0:r1], X1.nodes[a:b],
+            X2.inv_nodes[r0:r1], X2.nodes[a:b],
+            X1.alg.dim, X1.alg.level, k)
+    return out
 
 
 def holder_norm_streaming(grid, alpha, a, b):
@@ -324,7 +371,7 @@ def mixed_dist_out_of_place(X1, X2, alpha, p):
     np.fill_diagonal(gaps, 1.0)
     levels = []
     for k in _dist_levels(alpha, X1.alg.level):
-        w = np.ascontiguousarray(_pair_level_diff_matrix(X1, X2, k, 0, n)) ** (1.0 / (alpha * k))
+        w = np.ascontiguousarray(pair_level_diff_matrix(X1, X2, k, 0, n)) ** (1.0 / (alpha * k))
         inner = sobrough._kernels.interval_dp_table(np.ascontiguousarray(w))
         outer_w = inner ** (alpha * p) / np.abs(gaps * X1.h) ** (alpha * p - 1.0)
         best = sobrough._kernels.partition_dp_max(np.ascontiguousarray(outer_w))
@@ -343,7 +390,7 @@ def stability_controls_levels(X1, X2, alpha, p):
     t1 = sobrough._kernels.interval_dp_table(np.ascontiguousarray(d1 ** (1.0 / alpha)))
     t2 = sobrough._kernels.interval_dp_table(np.ascontiguousarray(d2 ** (1.0 / alpha)))
     ks = list(_dist_levels(alpha, X1.alg.level))
-    mats = {k: np.ascontiguousarray(_pair_level_diff_matrix(X1, X2, k, 0, n)) for k in ks}
+    mats = {k: np.ascontiguousarray(pair_level_diff_matrix(X1, X2, k, 0, n)) for k in ks}
     tables = {k: sobrough._kernels.interval_dp_table(mats[k] ** (1.0 / (alpha * k)))
               for k in ks}
     omega, omega_prime = [], []

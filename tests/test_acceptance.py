@@ -118,7 +118,7 @@ def test_criterion_4_small_instance_oracles():
         qv = P.inhom_qvar_dist(X1, X2, ALPHA)
         mx = P.mixed_dist(X1, X2, ALPHA, PP)
         for k in (1, 2):
-            diff = P._pair_level_diff_matrix(X1, X2, k, 0, 5)
+            diff = oracles.pair_level_diff_matrix(X1, X2, k, 0, 5)
             if qv[k - 1] != oracles.enum_inhom_qvar_level(diff, ALPHA, k):
                 mismatches += 1
             if mx.levels[k - 1] != oracles.enum_mixed_level(diff, ALPHA, PP, k):

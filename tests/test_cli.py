@@ -342,13 +342,23 @@ class TestDist:
 
     def test_level_tables_built_once(self, walks, tmp_path, monkeypatch):
         import sobrough._kernels as kernels
-        calls = {"interval_dp_table": 0, "level_diff_block": 0, "partition_dp_max": 0}
+        calls = {name: [] for name in ("level_diff_block", "interval_push_rows",
+                                       "partition_push_rows", "interval_dp_table",
+                                       "partition_dp_max")}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(kernels, name)):
-                calls[_name] += 1
+                calls[_name].append(args)
                 return _fn(*args)
             monkeypatch.setattr(kernels, name, counted)
         assert main(["dist", "--csv", walks[0], "--csv2", walks[1], "--depth", "7",
                      "--out", str(tmp_path / "report.json")]) == 0
-        # two distance levels; 129 nodes make two row blocks of the difference matrix
-        assert calls == {"interval_dp_table": 2, "level_diff_block": 4, "partition_dp_max": 2}
+        # two distance levels; 129 nodes make the row blocks [0, 128) and
+        # [128, 129), each over the columns [r0, 129): (level, r0, rows) once each
+        blocks = [(args[6], 129 - args[1].shape[0], args[0].shape[0])
+                  for args in calls["level_diff_block"]]
+        assert blocks == [(1, 0, 128), (1, 128, 1), (2, 0, 128), (2, 128, 1)]
+        # each block pushed once into its level's table, and each table's
+        # outer weights once into the mixed variation
+        assert [args[1] for args in calls["interval_push_rows"]] == [0, 128, 0, 128]
+        assert [args[1] for args in calls["partition_push_rows"]] == [0, 128, 0, 128]
+        assert not calls["interval_dp_table"] and not calls["partition_dp_max"]

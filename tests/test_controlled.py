@@ -148,8 +148,9 @@ class TestRemainderNorms:
         assert a == pytest.approx(3.0 * b, rel=1e-13)
 
     def test_tildeV_transient_memory(self):
-        # magnitudes, the interval table and the per-diagonal scratch rows:
-        # about 2.25 (n, n) arrays beyond the input pair array, at most 2.5
+        # the interval table, one row push's candidates (up to n^2 / 4 floats)
+        # and one row block of magnitudes: about 1.50 (n, n) arrays beyond the
+        # input pair array, at most 2.0
         n = (1 << 9) + 1
         pair = np.triu(np.random.default_rng(5).random((n, n)), k=1)[:, :, None]
         R = P.IntervalFunction.from_pair_matrix(pair)
@@ -161,7 +162,7 @@ class TestRemainderNorms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base <= 2.5 * n * n * 8
+        assert peak - base <= 2.0 * n * n * 8
 
 
 class TestControlledNorm:

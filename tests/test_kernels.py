@@ -12,7 +12,8 @@ from sobrough import algebra as A
 from sobrough._kernels import _fallback
 
 from oracles import (chen_prefix_per_row, hom_dist_block_einsum, hom_dist_block_per_pair,
-                     increment_levels_einsum, interval_dp_table_per_cell,
+                     increment_levels_einsum, interval_dp_table_diagonal,
+                     interval_dp_table_per_cell,
                      level_diff_block_einsum, level_diff_block_per_pair,
                      partition_dp_max_pull)
 
@@ -78,6 +79,31 @@ class TestFallbackMatchesLoops:
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert not np.tril(got).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 130, 257])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("ties", [False, True])
+    def test_interval_table_bitwise_equal_to_diagonal_form(self, rng, n, order, ties):
+        w = rng.random((n, n)) ** 3
+        if ties:  # quarters: many partitions reach exactly the same sum
+            w = np.floor(4 * w) / 4
+        w[n // 2] = 0.0
+        w[n // 4, n // 4:] = -0.0
+        if n > 2:
+            w[0, n - 1] = np.inf
+            w[n // 3, n // 3 + 1:] = np.inf
+        if n > 5:  # below every partition sum so far
+            w[n // 6] *= -1.0
+        w = np.asarray(w, order=order)
+        want = interval_dp_table_diagonal(w).tobytes()
+        assert interval_dp_table_per_cell(w).tobytes() == want
+        assert _fallback.interval_dp_table(w).tobytes() == want
+        # the same rows pushed whole, then one upper block at a time
+        for rows in (n, 1, 5, 128):
+            T = np.zeros((n, n))
+            for r0 in range(0, n, rows):
+                _fallback.interval_push_rows(T, r0, w[r0:r0 + rows, r0:])
+            assert T.tobytes() == want
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 130])
     def test_interval_table_corner_is_partition_dp(self, rng, n):

@@ -291,7 +291,7 @@ class TestInhomDistances:
         res = P.inhom_qvar_dist(X1, X2, ALPHA)
         corners = P.mixed_dist(X1, X2, ALPHA, PP).qvar_levels
         for k in (1, 2):
-            diff = P._pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
+            diff = oracles.pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
             assert res[k - 1] == oracles.enum_inhom_qvar_level(diff, ALPHA, k)
             assert corners[k - 1] == res[k - 1]
 
@@ -307,7 +307,7 @@ class TestInhomDistances:
         X1, X2 = walk_path(seed, depth=2), walk_path(seed + 2000, depth=2)
         res = P.mixed_dist(X1, X2, ALPHA, PP)
         for k in (1, 2):
-            diff = P._pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
+            diff = oracles.pair_level_diff_matrix(X1, X2, k, 0, X1.n_nodes)
             assert res.levels[k - 1] == oracles.enum_mixed_level(diff, ALPHA, PP, k)
         assert res.value == max(res.levels)
 
@@ -318,21 +318,34 @@ class TestInhomDistances:
         assert (res.levels, res.value) == oracles.mixed_dist_out_of_place(X1, X2, ALPHA, PP)
         assert res.qvar_levels == P.inhom_qvar_dist(X1, X2, ALPHA)
 
-    def test_mixed_transient_memory(self):
-        # one level's difference matrix, power, table and DP scratch rows come
-        # to about 4.04 (n, n) arrays, once the previous level's are dropped
-        X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
-        n = X1.n_nodes
-        X1.inv_nodes, X2.inv_nodes
+    @staticmethod
+    def transient_peak(fn):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            P.mixed_dist(X1, X2, ALPHA, PP)
+            fn()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - base <= 4.5 * n * n * 8
+        return peak - base
+
+    def test_mixed_transient_memory(self):
+        # one level's table and the level_diff_block transient of one row
+        # block (about 2 (n, n) arrays at 128 x 513) come to about 3.07 (n, n)
+        # arrays, once the previous level's table is dropped
+        X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
+        n = X1.n_nodes
+        X1.inv_nodes, X2.inv_nodes
+        assert self.transient_peak(lambda: P.mixed_dist(X1, X2, ALPHA, PP)) <= 3.5 * n * n * 8
+
+    def test_qvar_dist_transient_memory(self):
+        # no (n, n) array: the level_diff_block transient of one row block and
+        # that block's weights, about 2.08 (n, n) arrays at J = 9
+        X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
+        n = X1.n_nodes
+        X1.inv_nodes, X2.inv_nodes
+        assert self.transient_peak(lambda: P.inhom_qvar_dist(X1, X2, ALPHA)) <= 2.5 * n * n * 8
 
     def test_mixed_bounded_by_norm_sum(self):
         # fit the comparison constant on one family, check it on a fresh one
@@ -358,6 +371,15 @@ class TestInhomDistances:
         assert P.inhom_sobolev_dist(X1, X2, ALPHA, PP).total > 1e-12
         assert P.mixed_dist(X1, X2, ALPHA, PP).value > 1e-12
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0, 1.5])
+    def test_distances_reject_alpha_outside_unit_interval(self, alpha):
+        X1, X2 = walk_path(33), walk_path(34)
+        for dist in (lambda: P.inhom_qvar_dist(X1, X2, alpha),
+                     lambda: P.inhom_sobolev_dist(X1, X2, alpha, PP),
+                     lambda: P.mixed_dist(X1, X2, alpha, PP)):
+            with pytest.raises(P.PathError, match=r"outside \(0, 1\)"):
+                dist()
+
 
 class TestControlCheck:
     def test_additive_is_control(self):
@@ -377,6 +399,32 @@ class TestControlCheck:
         omega = P.integral_norm_interval_function(X, ALPHA, PP)
         rep = P.control_check(omega)
         assert rep.ok
+
+    def test_integral_norm_interval_function_checks_its_input(self):
+        with pytest.raises(P.PathError, match=r"2\^J \+ 1 samples"):
+            P.integral_norm_interval_function(P.VectorPath(np.arange(7.0)), ALPHA, PP)
+        X = walk_path(41, depth=3)
+        for alpha, p in [(0.2, 4.0), (ALPHA, math.inf)]:
+            with pytest.raises(P.PathError, match="inadmissible"):
+                P.integral_norm_interval_function(X, alpha, p)
+
+    @pytest.mark.parametrize("vshape", [(1,), (2,), (3,), (4,), (8,), (9,), (16,), (2, 2), (3, 4)],
+                             ids=lambda v: "x".join(map(str, v)))
+    def test_pair_norm_rows_bitwise_equal_to_column_major(self, vshape):
+        # the row blocks that remainder_norm_tildeV streams, against the
+        # magnitudes reduced by one column-major einsum
+        n = 257
+        rng = np.random.default_rng(sum(vshape) * 10 + len(vshape))
+        shape = (n, n) + vshape
+        pair = rng.standard_normal(shape) * np.exp(4.0 * rng.standard_normal(shape))
+        R = P.IntervalFunction.from_pair_matrix(pair)
+        want = np.ascontiguousarray(oracles.pair_norms_column_major(pair))
+        assert R.pair_norms().tobytes() == want.tobytes()
+        blocks = P._push_rows(lambda out, r0, mags: out.append((r0, mags)), [],
+                              R._pair_norm_block, 0, n)
+        assert [r0 for r0, _ in blocks] == [0, 128, 256]
+        for r0, mags in blocks:
+            assert mags.tobytes() == want[r0:r0 + mags.shape[0], r0:].copy().tobytes()
 
     def test_interval_function_storage(self):
         n = 9

@@ -58,6 +58,13 @@ def test_work_hooks_read_library_results():
     def hook(name, args, result):
         return work[name](args, {}, result)
 
+    # the whole-matrix DP kernels, called as the embedding study calls them
+    w = X.dist_matrix(0, X.n_nodes) ** 2.5
+    n = float(X.n_nodes)
+    for name, want in [("interval_dp_table", {"ops": n ** 3 / 6.0, "bytes": 2.0 * 8 * n * n}),
+                       ("partition_dp_max", {"ops": n ** 2 / 2.0})]:
+        assert hook(f"kernels.{name}", (w,), getattr(sobrough._kernels, name)(w)) == want
+
     cp = C.compose_smooth(V, C.coordinate_controlled(X))
     R = C.remainder(cp)
     assert hook("controlled.remainder", (cp,), R) == {"pair_bytes_max": float(R.pair.nbytes)}
