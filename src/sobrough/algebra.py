@@ -334,10 +334,7 @@ def random_group_element(alg: TensorAlgebra, rng, scale: float = 0.5) -> GroupEl
     if alg.level >= 3:
         # project level 3 onto brackets of level-1/level-2 data
         d = alg.dim
-        lead = np.zeros(alg.length)
-        lead[0] = 0.0
         v = data[alg.slice(1)]
-        A = data[alg.slice(2)].reshape(d, d)
         B = scale * rng.standard_normal((d, d))
         B = 0.5 * (B - B.T)
         # [v, B]: a genuine Lie element at level 3

@@ -186,13 +186,6 @@ def _load_path(cfg: RunConfig, csv: str | None) -> tuple[SampledRoughPath, dict]
     return X, info
 
 
-def _field_from_blocks(cfg: RunConfig, d: int, default=None) -> PolyVectorField:
-    field_cfg = cfg.blocks.get("field", default)
-    if field_cfg is None:
-        raise InputError("no vector field: add a 'field' block to the config")
-    return PolyVectorField.from_config(field_cfg)
-
-
 # ------------------------------------------------------------------ commands
 
 @click.group(name="sobrough")
@@ -218,16 +211,12 @@ def _common(fn):
     return fn
 
 
-def _cfg(alpha, p_, level, depth, seed, config_path) -> RunConfig:
-    return RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
-
-
 @cli.command()
 @_common
 @click.option("--csv", type=str, required=True, help="input path CSV")
 def lift(alpha, p_, level, depth, seed, config_path, out, csv):
     """Resample a CSV path onto the dyadic grid and lift it to level N."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     samples, info = ingest_csv(csv, cfg.depth)
     X = SampledRoughPath.from_samples(samples, cfg.level, cfg.alpha, cfg.p,
                                       depth=cfg.depth)
@@ -248,7 +237,7 @@ def lift(alpha, p_, level, depth, seed, config_path, out, csv):
 @click.option("--csv", type=str, default=None, help="input path CSV")
 def norm(alpha, p_, level, depth, seed, config_path, out, csv):
     """All norms of one path: integral/dyadic Sobolev, Hoelder, q-variation."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     X, info = _load_path(cfg, csv)
     results = {"input": info}
     if cfg.p == math.inf:
@@ -271,7 +260,7 @@ def norm(alpha, p_, level, depth, seed, config_path, out, csv):
 @click.option("--csv2", type=str, required=True, help="second path CSV")
 def dist(alpha, p_, level, depth, seed, config_path, out, csv, csv2):
     """Inhomogeneous distances between two paths on a shared grid."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     if cfg.p == math.inf:
         raise InputError("distances require finite p")
     X1, info1 = _load_path(cfg, csv)
@@ -295,7 +284,7 @@ def dist(alpha, p_, level, depth, seed, config_path, out, csv, csv2):
 @click.option("--csv", type=str, default=None, help="driver path CSV")
 def integrate(alpha, p_, level, depth, seed, config_path, out, csv):
     """Rough integral of F(X) against X for a polynomial integrand map F."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     if cfg.level != 2:
         raise InputError("rough integration requires level 2")
     X, info = _load_path(cfg, csv)
@@ -332,9 +321,12 @@ def _diag_embedding(d: int) -> np.ndarray:
 @click.option("--csv", type=str, default=None, help="driver path CSV")
 def solve(alpha, p_, level, depth, seed, config_path, out, csv):
     """Solve dY = V(Y) dX by the Euler or Picard scheme."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     X, info = _load_path(cfg, csv)
-    V = _field_from_blocks(cfg, X.alg.dim)
+    field_cfg = cfg.blocks.get("field")
+    if field_cfg is None:
+        raise InputError("no vector field: add a 'field' block to the config")
+    V = PolyVectorField.from_config(field_cfg)
     if V.d != X.alg.dim:
         raise InputError(f"field drives {V.d} directions, path has {X.alg.dim}")
     y0 = np.asarray(cfg.blocks.get("y0", [0.0] * V.e), dtype=float)
@@ -366,7 +358,7 @@ def solve(alpha, p_, level, depth, seed, config_path, out, csv):
 @_common
 def sweep(alpha, p_, level, depth, seed, config_path, out):
     """Solution-map Lipschitz sweep across perturbation channels."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     sweep_cfg = dict(cfg.blocks.get("sweep", {}))
     sweep_cfg.setdefault("alpha", cfg.alpha)
     sweep_cfg.setdefault("p", cfg.p)
@@ -392,7 +384,7 @@ _STUDIES = {
 @click.option("--name", type=click.Choice(sorted(_STUDIES)), required=True)
 def study(alpha, p_, level, depth, seed, config_path, out, name):
     """Run a verification study (equivalence, embedding, convergence, apriori)."""
-    cfg = _cfg(alpha, p_, level, depth, seed, config_path)
+    cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
     study_cfg = dict(cfg.blocks.get("study", {}))
     study_cfg.setdefault("alpha", cfg.alpha)
     study_cfg.setdefault("p", cfg.p)

@@ -8,12 +8,11 @@ A controlled pair (Y, Y') has Y on the grid with values of any shape
 R_{s,t} = Y_t - Y_s - Y'_s x_{s,t} with x the level-1 driver increment.
 Integration requires values in L(R^d, R^w), i.e. vshape = (w, d).
 
-`remainder` builds the remainder on all grid pairs, an (n, n, ...) array,
-in place; `rough_integral` takes the integral's remainder from it, as that of
-the controlled pair (I, Y).  The Picard solver needs no pair array: each
-iteration builds the integral path (`_integral_values`, O(n)) and the dyadic
-remainders (`_dyadic_remainder`, O(n log n)), all that ||R||_hatW reads, and
-`controlled_norm` builds the pair remainder only for the O(n^3) ||R||_tildeV.
+`_remainder_at` forms the remainder on any index pairs; `remainder` takes all
+grid pairs, an (n, n, ...) array, from it for `rough_integral`.  The Picard
+solver builds no pair array: per iteration, the integral path (O(n)) and the
+dyadic remainders (O(n log n)) for ||R||_hatW, while ||R||_tildeV streams the
+remainder one row block at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ import numpy as np
 
 from .fields import PolyVectorField
 from .paths import (IntervalFunction, PathError, SampledRoughPath, VectorPath,
-                    _dyadic_sum, _interval_table, _mixed_variation, sobolev_norm_dyadic)
+                    _check_admissible, _dyadic_sum, _interval_table, _magnitudes,
+                    _mixed_variation, sobolev_norm_dyadic)
 
 #: derivative self-test threshold for smooth maps (relative, vs finite differences)
 SELF_TEST_TOL = 1e-6
@@ -49,7 +49,6 @@ class ControlledPath:
         self.X = X
         self.Y = Y
         self.Yprime = Yprime
-        self._remainder = None
 
     @property
     def vshape(self) -> tuple:
@@ -69,51 +68,66 @@ def coordinate_controlled(X: SampledRoughPath) -> ControlledPath:
     return ControlledPath(X, x1, Yp)
 
 
+def _remainder_at(cp: ControlledPath, u, v) -> np.ndarray:
+    """R_{u,v} = Y_{u,v} - Y'_u x_{u,v} for grid indices u and v (index arrays
+    or slices) whose selections broadcast to one shape S; the result has
+    shape S + vshape.  The only place the linear term Y'_u x_{u,v} is formed."""
+    x1 = cp.X.nodes[:, cp.X.alg.slice(1)]
+    xinc = x1[v] - x1[u]
+    xinc = xinc.reshape(xinc.shape[:-1] + (1,) * len(cp.vshape) + xinc.shape[-1:])
+    lin = np.einsum("...j,...j->...", cp.Yprime[u], xinc)
+    del xinc
+    # built in place: R and lin are the only result-sized arrays alive at once
+    R = cp.Y[v] - cp.Y[u]
+    R -= lin
+    return R
+
+
+def _upper_remainder(cp: ControlledPath, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+    """R on the pairs [r0, r1) x [c0, c1), zero on the pairs u >= v."""
+    R = _remainder_at(cp, np.s_[r0:r1, None], np.s_[c0:c1])
+    lower = np.tri(r1 - r0, c1 - c0, r0 - c0, dtype=bool)
+    np.copyto(R, 0.0, where=lower.reshape(lower.shape + (1,) * len(cp.vshape)))
+    return R
+
+
 def remainder(cp: ControlledPath) -> IntervalFunction:
     """R^Y on all grid intervals: R_{s,t} = Y_{s,t} - Y'_s x_{s,t}."""
-    if cp._remainder is None:
-        x1 = cp.X.nodes[:, cp.X.alg.slice(1)]
-        xinc = x1[None, :, :] - x1[:, None, :]          # (u, v, d)
-        lin = np.einsum("u...j,uvj->uv...", cp.Yprime, xinc)
-        del xinc
-        # built in place, so at most two (n, n, ...) arrays are alive at once
-        R = cp.Y[None, :, ...] - cp.Y[:, None, ...]
-        R -= lin
-        del lin
-        n = cp.X.n_nodes
-        np.copyto(R, 0.0, where=np.tri(n, dtype=bool).reshape((n, n) + (1,) * len(cp.vshape)))
-        cp._remainder = IntervalFunction(n, pair=R)
-    return cp._remainder
+    n = cp.X.n_nodes
+    return IntervalFunction(n, pair=_upper_remainder(cp, 0, n, 0, n))
 
 
 def _dyadic_remainder(cp: ControlledPath) -> IntervalFunction:
-    """R^Y on the dyadic intervals [u, u+s] only, with the same float
-    operations per interval as remainder(); reuses the pair remainder when
-    it is already built."""
-    if cp._remainder is not None:
-        return cp._remainder
+    """R^Y on the dyadic intervals [u, u+s] only."""
     X = cp.X
-    x1 = X.nodes[:, X.alg.slice(1)]
     levels = []
     for j in range(X.depth + 1):
         stride = 1 << (X.depth - j)
-        xinc = x1[stride::stride] - x1[:-1:stride]      # (2^j, d)
-        lin = np.einsum("u...j,uj->u...", cp.Yprime[:-1:stride], xinc)
-        levels.append(cp.Y[stride::stride] - cp.Y[:-1:stride] - lin)
+        levels.append(_remainder_at(cp, np.s_[:-1:stride], np.s_[stride::stride]))
     return IntervalFunction.from_dyadic(levels)
 
 
-def remainder_norm_tildeV(R: IntervalFunction, alpha: float, p: float) -> float:
+def remainder_norm_tildeV(R: IntervalFunction | ControlledPath, alpha: float, p: float) -> float:
     """Mixed variation norm of a two-parameter function:
 
         ( sup_P sum_{[u,v] in P} ||R||_{1/(2 alpha)-var;[u,v]}^{p/2} / |v-u|^{alpha p - 1} )^{2/p}
 
-    with the inner variation taken over grid partitions of [u, v]."""
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    with the inner variation taken over grid partitions of [u, v].  Given a
+    ControlledPath, its remainder is streamed one row block at a time and
+    the pair array is never built."""
+    _check_admissible(alpha, p)
+    if isinstance(R, ControlledPath):
+        n = R.X.n_nodes
+
+        def block(*span):
+            pair = _upper_remainder(R, *span)
+            if not np.all(np.isfinite(pair)):
+                raise PathError("non-finite interval values")
+            return _magnitudes(pair)
+    else:
+        n, block = R.n_nodes, R._pair_norm_block
     # inner[u,v]^(2 alpha) is the 1/(2 alpha)-variation of R over [u, v]
-    inner = _interval_table(lambda *span: R._pair_norm_block(*span) ** (1.0 / (2.0 * alpha)),
-                            R.n_nodes)
+    inner = _interval_table(lambda *span: block(*span) ** (1.0 / (2.0 * alpha)), n)
     return _mixed_variation(inner, alpha, p) ** (2.0 / p)
 
 
@@ -122,8 +136,7 @@ def remainder_norm_hatW(R: IntervalFunction, alpha: float, p: float) -> float:
 
         ( sum_{j<=J} 2^{j(alpha p - 1)} sum_i |R on level-j interval i|^{p/2} )^{2/p}
     """
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    _check_admissible(alpha, p)
     mags = (np.linalg.norm(R.dyadic_level(j).reshape(1 << j, -1), axis=1)
             for j in range(R.depth + 1))
     return _dyadic_sum(mags, alpha, p, 2)[0] ** (2.0 / p)
@@ -138,8 +151,8 @@ def controlled_norm(cp: ControlledPath, alpha: float | None = None,
     sum already reaches `cutoff` it is returned and ||R||_tildeV is not
     computed; a result below `cutoff` is always the full norm.
 
-    ||R||_hatW reads the dyadic remainders only; the pair remainder is built
-    only for ||R||_tildeV."""
+    ||R||_hatW reads the dyadic remainders only and ||R||_tildeV streams the
+    remainder in row blocks: no pair remainder is built."""
     alpha = cp.X.alpha if alpha is None else alpha
     p = cp.X.p if p is None else p
     yp = sobolev_norm_dyadic(VectorPath(cp.Yprime.reshape(cp.X.n_nodes, -1)), alpha, p).value
@@ -147,7 +160,7 @@ def controlled_norm(cp: ControlledPath, alpha: float | None = None,
     hat = remainder_norm_hatW(_dyadic_remainder(cp), alpha, p)
     if head + hat >= cutoff:
         return head + hat
-    return head + remainder_norm_tildeV(remainder(cp), alpha, p) + hat
+    return head + remainder_norm_tildeV(cp, alpha, p) + hat
 
 
 def compose_smooth(F: SmoothMap, cp: ControlledPath) -> ControlledPath:

@@ -35,7 +35,30 @@ def _floor_bracket(r: float) -> int:
     return int(math.floor(r + 1e-12))
 
 
-class SampledRoughPath:
+def _check_admissible(alpha: float, p: float, finite: bool = False):
+    """Reject all but 0 < alpha < 1, p > 1, alpha > 1/p (and p < inf if `finite`)."""
+    if not (0.0 < alpha < 1.0 and 1.0 < p and alpha > 1.0 / p
+            and not (finite and p == math.inf)):
+        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+
+
+class _UniformGrid:
+    """Times i h, i = 0 .. n_nodes - 1, with h = 1 / (n_nodes - 1)."""
+
+    @property
+    def h(self) -> float:
+        return 1.0 / (self.n_nodes - 1)
+
+    def index_of(self, t: float) -> int:
+        n = self.n_nodes
+        x = t * (n - 1)
+        i = int(round(x))
+        if abs(x - i) > 1e-6 or not (0 <= i < n):
+            raise PathError(f"time {t} is not a point of the {n}-node grid on [0, 1]")
+        return i
+
+
+class SampledRoughPath(_UniformGrid):
     """Group-valued path sampled on the dyadic grid of depth J.
 
     nodes[0] is the identity; node i is the running signature over [0, t_i],
@@ -50,12 +73,7 @@ class SampledRoughPath:
             raise PathError(f"expected {n} packed nodes of length {alg.length}, got {nodes.shape}")
         if not np.all(np.isfinite(nodes)):
             raise PathError("non-finite node coefficients")
-        if not (0.0 < alpha < 1.0):
-            raise PathError(f"alpha={alpha} outside (0, 1)")
-        if not (1.0 < p):
-            raise PathError(f"p={p} must exceed 1")
-        if not alpha > 1.0 / p:
-            raise PathError(f"inadmissible parameters: alpha={alpha} <= 1/p={1.0 / p}")
+        _check_admissible(alpha, p)
         ident = np.zeros(alg.length)
         ident[0] = 1.0
         if not np.array_equal(nodes[0], ident):
@@ -88,19 +106,8 @@ class SampledRoughPath:
         return self.nodes.shape[0]
 
     @property
-    def h(self) -> float:
-        return 2.0 ** (-self.depth)
-
-    @property
     def times(self) -> np.ndarray:
         return np.arange(self.n_nodes) * self.h
-
-    def index_of(self, t: float) -> int:
-        x = t * (self.n_nodes - 1)
-        i = int(round(x))
-        if abs(x - i) > 1e-6 or not (0 <= i < self.n_nodes):
-            raise PathError(f"time {t} is not a grid point at depth {self.depth}")
-        return i
 
     # ----------------------------------------------------------- group views
 
@@ -184,7 +191,7 @@ class SampledRoughPath:
         return cls(alg, J, packed, alpha, p, trusted=True)
 
 
-class VectorPath:
+class VectorPath(_UniformGrid):
     """Adapter giving an R^m-valued path on a uniform grid over [0, 1] the
     same norm interface (Euclidean increment distances).  Dyadic sums need
     2^J + 1 samples; the variation and Hoelder norms work on any grid."""
@@ -203,17 +210,6 @@ class VectorPath:
     @property
     def n_nodes(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.values.shape[0] - 1)
-
-    def index_of(self, t: float) -> int:
-        x = t * (self.n_nodes - 1)
-        i = int(round(x))
-        if abs(x - i) > 1e-6 or not (0 <= i < self.n_nodes):
-            raise PathError(f"time {t} is not a grid point at depth {self.depth}")
-        return i
 
     def dist_block(self, r0, r1, c0, c1) -> np.ndarray:
         diff = self.values[r0:r1, None, :] - self.values[None, c0:c1, :]
@@ -295,6 +291,13 @@ def _dyadic_sum(mags, alpha: float, p: float, k: int = 1) -> tuple[float, float]
     return _fsum(terms), terms[-1]
 
 
+def _magnitudes(block: np.ndarray) -> np.ndarray:
+    """Euclidean magnitudes over the value axes of a (rows, cols, ...) block."""
+    flat = block.reshape(block.shape[:2] + (-1,))
+    mags = np.einsum("uvc,uvc->uv", flat, flat)
+    return np.sqrt(mags, out=mags)
+
+
 def _as_grid(path):
     if isinstance(path, (SampledRoughPath, VectorPath)):
         return path
@@ -332,8 +335,7 @@ def pair_norms(path, qvar: float | None = None, holder: float | None = None,
         raise PathError(f"alpha={holder} outside (0, 1)")
     if integral is not None:
         alpha, p = integral
-        if not (alpha > 1.0 / p and p < math.inf):
-            raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+        _check_admissible(alpha, p, finite=True)
     grid = _as_grid(path)
     a, b = _window_indices(grid, window)
     best = np.full(b - a, -np.inf)
@@ -393,8 +395,7 @@ def sobolev_norm_dyadic(path, alpha: float, p: float) -> DyadicNorm:
 
         ( sum_{j=0}^{J} 2^{j(alpha p - 1)} sum_m d(X_{m 2^-j}, X_{(m+1) 2^-j})^p )^{1/p}
     """
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    _check_admissible(alpha, p)
     grid = _as_grid(path)
     if grid.depth is None:
         raise PathError("dyadic norm needs 2^J + 1 samples")
@@ -445,8 +446,7 @@ def inhom_sobolev_dist(X1: SampledRoughPath, X2: SampledRoughPath,
 
     over dyadic-interval increments Delta, and their sum over k = 1..[1/alpha]."""
     _check_pair(X1, X2, alpha)
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    _check_admissible(alpha, p)
     levels = []
     for k in _dist_levels(alpha, X1.alg.level):
         diffs = (_dyadic_level_diffs(X1, X2, k, j) for j in range(X1.depth + 1))
@@ -491,8 +491,7 @@ def mixed_dist(X1: SampledRoughPath, X2: SampledRoughPath,
 
     maximised over k.  Inner variations and the outer supremum are grid DPs."""
     _check_pair(X1, X2, alpha)
-    if not alpha > 1.0 / p:
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    _check_admissible(alpha, p)
     levels, qvar = [], []
     for k in _dist_levels(alpha, X1.alg.level):
         table = _interval_table(lambda *span: _level_diffs(X1, X2, k, *span) ** (1.0 / (alpha * k)),
@@ -572,9 +571,7 @@ class IntervalFunction:
         """Euclidean magnitudes on the pairs [r0, r1) x [c0, c1)."""
         if self.pair is None:
             raise PathError("this interval function stores dyadic values only")
-        block = self.pair[r0:r1, c0:c1].reshape(r1 - r0, c1 - c0, -1)
-        mags = np.einsum("uvc,uvc->uv", block, block)
-        return np.sqrt(mags, out=mags)
+        return _magnitudes(self.pair[r0:r1, c0:c1])
 
     def __sub__(self, other: "IntervalFunction") -> "IntervalFunction":
         if self.n_nodes != other.n_nodes:
@@ -612,8 +609,7 @@ def control_check(omega: IntervalFunction, tol: float = CTRL_TOL) -> ControlRepo
 def integral_norm_interval_function(path, alpha: float, p: float) -> IntervalFunction:
     """sobolev_norm_integral(.)^p restricted to the dyadic interval family
     (a control function; used with control_check)."""
-    if not (alpha > 1.0 / p and p < math.inf):
-        raise PathError(f"inadmissible parameters alpha={alpha}, p={p}")
+    _check_admissible(alpha, p, finite=True)
     grid = _as_grid(path)
     if grid.depth is None:
         raise PathError("dyadic interval family needs 2^J + 1 samples")

@@ -101,7 +101,7 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
     remainder of the difference pair on the dyadic intervals: O(n log n)
     work and memory, no (n, n) array.  The residual first sums the cheap
     terms of the controlled norm, which bound it from below; the full norm,
-    with its O(n^3) ||R||_tildeV term on the (n, n) pair remainder, is
+    with its O(n^3) ||R||_tildeV term streamed by row blocks, is
     evaluated only when that bound is below `tol` or on the last iteration.
     The reported residual is always the full norm; if it is not finite at the
     last iteration, BlowUpError names the iteration from which it stayed so."""

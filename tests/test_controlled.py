@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sobrough import paths as P
-from sobrough.controlled import (ControlledPath, _dyadic_remainder, compose_smooth,
+from sobrough.controlled import (ControlledPath, _dyadic_remainder, _remainder_at, compose_smooth,
                                  controlled_norm, coordinate_controlled, remainder,
                                  remainder_norm_hatW, remainder_norm_tildeV,
                                  rough_integral)
@@ -79,6 +79,39 @@ class TestRemainder:
         assert peak - base <= 2.5 * n * n * 2 * 8
 
 
+class TestRemainderAt:
+    """The one remainder formula, read on all pairs by index arrays and on row
+    blocks and dyadic levels by slices, as the library reads it, against the
+    out-of-place pair remainder."""
+
+    @pytest.mark.parametrize("d, vshape", [(1, (1,)), (2, (2,)), (2, (3, 2)), (3, (2, 3)),
+                                           (4, (4,)), (4, (2, 2))])
+    @pytest.mark.parametrize("J", [1, 3, 8])
+    def test_bitwise_equal_to_out_of_place_reference(self, J, d, vshape):
+        X = lift_walk(J + 40, depth=J, d=d)
+        n = X.n_nodes
+        rng = np.random.default_rng(J + d)
+        cp = ControlledPath(X, rng.standard_normal((n,) + vshape),
+                            rng.standard_normal((n,) + vshape + (d,)))
+        want = oracles.remainder_out_of_place(cp)
+        idx = np.arange(n)
+        upper = idx[:, None] < idx[None, :]
+        full = _remainder_at(cp, idx[:, None], idx[None, :])
+        assert full.shape == want.shape
+        assert full[upper].tobytes() == want[upper].tobytes()
+        for rows in (1, 5, 128):
+            for r0 in range(0, n, rows):
+                r1 = min(r0 + rows, n)
+                block = _remainder_at(cp, np.s_[r0:r1, None], np.s_[r0:])
+                keep = upper[r0:r1, r0:]
+                assert block[keep].tobytes() == want[r0:r1, r0:][keep].tobytes()
+        for j in range(J + 1):
+            stride = 1 << (J - j)
+            lo = np.arange(0, n - 1, stride)
+            level = _remainder_at(cp, np.s_[:-1:stride], np.s_[stride::stride])
+            assert level.tobytes() == want[lo, lo + stride].tobytes()
+
+
 class TestDyadicRemainder:
     @pytest.mark.parametrize("vshape", [(2,), (3, 2)])
     @pytest.mark.parametrize("J", [1, 5, 8])
@@ -92,8 +125,6 @@ class TestDyadicRemainder:
         pair = remainder(cp)
         for j in range(J + 1):
             assert dyadic.dyadic_level(j).tobytes() == pair.dyadic_level(j).tobytes()
-        # once the pair remainder exists, the dyadic levels are read from it
-        assert _dyadic_remainder(cp) is pair
 
 
 class TestRemainderNorms:
@@ -101,6 +132,16 @@ class TestRemainderNorms:
         R = P.IntervalFunction.from_pair_matrix(np.zeros((9, 9, 1)))
         assert remainder_norm_tildeV(R, ALPHA, PP) == 0.0
         assert remainder_norm_hatW(R, ALPHA, PP) == 0.0
+
+    @pytest.mark.parametrize("alpha, p", [(ALPHA, 0.0), (ALPHA, -2.0), (0.2, PP), (1.5, PP)])
+    def test_inadmissible_parameters_rejected(self, alpha, p):
+        R = P.IntervalFunction.from_pair_matrix(np.zeros((9, 9, 1)))
+        cp = coordinate_controlled(lift_walk(20, depth=3))
+        for call in (lambda: remainder_norm_tildeV(R, alpha, p),
+                     lambda: remainder_norm_tildeV(cp, alpha, p),
+                     lambda: remainder_norm_hatW(R, alpha, p)):
+            with pytest.raises(P.PathError, match="inadmissible"):
+                call()
 
     def test_quadratic_tildeV_matches_enumeration(self):
         n = 5
@@ -147,6 +188,32 @@ class TestRemainderNorms:
         b = remainder_norm_hatW(P.IntervalFunction.from_pair_matrix(pair), ALPHA, PP)
         assert a == pytest.approx(3.0 * b, rel=1e-13)
 
+    @pytest.mark.parametrize("vshape", [(1,), (2,), (3,), (4,), (8,), (9,), (16,), (2, 2), (3, 4)],
+                             ids=lambda v: "x".join(map(str, v)))
+    @pytest.mark.parametrize("J", [8, 9])
+    def test_tildeV_streamed_from_controlled_path_equals_pair(self, J, vshape):
+        # several row blocks of the remainder, streamed, against the norm
+        # of the pair remainder
+        X = lift_walk(J, depth=J, d=2)
+        rng = np.random.default_rng(J + sum(vshape))
+        cp = ControlledPath(X, rng.standard_normal((X.n_nodes,) + vshape),
+                            rng.standard_normal((X.n_nodes,) + vshape + (2,)))
+        want = remainder_norm_tildeV(remainder(cp), ALPHA, PP)
+        assert remainder_norm_tildeV(cp, ALPHA, PP).hex() == want.hex()
+
+    def test_tildeV_streamed_rejects_non_finite_remainder(self):
+        # Y_t - Y_s overflows: the pair remainder and the streamed one fail alike
+        X = lift_walk(18, depth=8)
+        n = X.n_nodes
+        Y = np.zeros((n, 1))
+        Y[0], Y[-1] = -1e308, 1e308
+        cp = ControlledPath(X, Y, np.zeros((n, 1, 1)))
+        with np.errstate(over="ignore"):
+            with pytest.raises(P.PathError, match="non-finite interval values"):
+                remainder(cp)
+            with pytest.raises(P.PathError, match="non-finite interval values"):
+                remainder_norm_tildeV(cp, ALPHA, PP)
+
     def test_tildeV_transient_memory(self):
         # the interval table, one row push's candidates (up to n^2 / 4 floats)
         # and one row block of magnitudes: about 1.50 (n, n) arrays beyond the
@@ -166,6 +233,24 @@ class TestRemainderNorms:
 
 
 class TestControlledNorm:
+    def test_transient_memory(self):
+        # ||R||_tildeV streams the remainder, so no (n, n, 2) pair array: the
+        # interval table, one row push's candidates and one row block of the
+        # remainder, about 2.06 (n, n) arrays
+        X = lift_walk(19, depth=9, d=2)
+        n = X.n_nodes
+        rng = np.random.default_rng(9)
+        cp = ControlledPath(X, rng.standard_normal((n, 2)), rng.standard_normal((n, 2, 2)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            controlled_norm(cp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.25 * n * n * 8
+
     def test_zero_path(self):
         X = lift_walk(2)
         cp = ControlledPath(X, np.zeros((X.n_nodes, 1)), np.zeros((X.n_nodes, 1, 1)))

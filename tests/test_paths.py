@@ -59,6 +59,41 @@ class TestConstruction:
             P.SampledRoughPath(X.alg, X.depth, X.nodes.copy(), ALPHA, PP)
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("alpha, p", [(ALPHA, 0.0), (ALPHA, -2.0), (ALPHA, 1.0), (0.2, PP),
+                                          (ALPHA, math.nan)])
+    def test_inadmissible_p_rejected(self, alpha, p):
+        path = P.VectorPath(np.linspace(0.0, 1.0, 17))
+        X1, X2 = walk_path(70), walk_path(71)
+        for call in (lambda: P.sobolev_norm_dyadic(path, alpha, p),
+                     lambda: P.sobolev_norm_integral(path, alpha, p),
+                     lambda: P.integral_norm_interval_function(path, alpha, p),
+                     lambda: P.inhom_sobolev_dist(X1, X2, alpha, p),
+                     lambda: P.mixed_dist(X1, X2, alpha, p),
+                     lambda: P.SampledRoughPath.from_samples(np.zeros((5, 1)), 2, alpha, p)):
+            with pytest.raises(P.PathError, match="inadmissible"):
+                call()
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.0, 1.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        path = P.VectorPath(np.linspace(0.0, 1.0, 17))
+        for call in (lambda: P.sobolev_norm_dyadic(path, alpha, PP),
+                     lambda: P.sobolev_norm_integral(path, alpha, PP),
+                     lambda: P.SampledRoughPath.from_samples(np.zeros((5, 1)), 2, alpha, PP)):
+            with pytest.raises(P.PathError, match="inadmissible"):
+                call()
+
+    def test_off_grid_time_names_the_node_count(self):
+        assert P.VectorPath.index_of is P.SampledRoughPath.index_of
+        with pytest.raises(P.PathError, match="7-node grid"):
+            P.qvar_norm(np.arange(7.0), 2.0, window=(0.3, 1.0))
+        X = walk_path(72)
+        with pytest.raises(P.PathError, match="9-node grid"):
+            X.index_of(0.3)
+        assert X.index_of(0.375) == 3
+        assert P.VectorPath(np.arange(7.0)).index_of(0.5) == 3
+
+
 class TestQvar:
     @given(st.floats(0.1, 5.0), st.floats(1.0, 4.0))
     @settings(max_examples=30)

@@ -5,6 +5,8 @@ that read it.  These checks read the tracer's tables without editing it."""
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +20,9 @@ from sobrough.fields import PolyVectorField
 from sobrough.harness import lift_smooth, make_trig_driver
 
 _TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+_BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# per-layer metrics the tracer derives rather than reads off one function's spans
+_DERIVED = ("controlled.tildeV_per_picard_iter", "report.identical_frac", "trace.")
 
 
 def _load_tracer():
@@ -42,6 +47,26 @@ def test_traced_methods_exist():
             if not callable(getattr(getattr(module, cls, None), method, None)):
                 missing.append(f"{layer}.{cls}.{method}")
     assert not missing
+
+
+def test_per_layer_metrics_name_traced_functions():
+    # each per-layer metric is "<function>.<stat>"; a function the tracer no
+    # longer wraps would read zero instead of failing
+    tracer = _load_tracer()
+    traced = {f"kernels.{name}" for name in tracer.KERNELS}
+    traced |= {f"{layer}.{cls}.{method}"
+               for layer, methods in tracer.METHODS.items() for cls, method in methods}
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"sobrough.{layer}")
+        traced |= {f"{layer}.{name}" for name, fn in vars(module).items()
+                   if not name.startswith("_") and inspect.isfunction(fn)
+                   and fn.__module__ == module.__name__}
+    names = [m["name"] for m in json.loads(_BENCHMARK.read_text())["per_layer"]]
+    derived = [name for name in names if name.startswith(_DERIVED)]
+    assert len(derived) == 5
+    unknown = [name for name in names
+               if name not in derived and name.rsplit(".", 1)[0] not in traced]
+    assert not unknown
 
 
 def test_path_has_traced_cache_attribute():
