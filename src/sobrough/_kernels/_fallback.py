@@ -2,8 +2,8 @@
 
 Arrays are float64 in any memory layout.  Both partition DPs take the pair
 weights ``w`` one upper block of rows at a time, as the callers compute them
-(``*_push_rows``); the whole-matrix entry points push all rows.  Tensor coefficients
-are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
+(``*_push_rows``); only the tests and the tracer call the whole-matrix entry points.
+Tensor coefficients are packed level-major: level k occupies ``offsets[k]:offsets[k]+d**k``.
 
 The pair kernels ``hom_dist_block`` and ``level_diff_block`` work
 component-major: level k of the m × n increments is a (d^k, m, n) array, one

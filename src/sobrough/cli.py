@@ -21,7 +21,8 @@ from .controlled import (compose_smooth, coordinate_controlled, remainder_norm_h
                          remainder_norm_tildeV, rough_integral)
 from .fields import FieldError, PolyVectorField
 from .paths import (PathError, SampledRoughPath, holder_norm, inhom_sobolev_dist,
-                    mixed_dist, pair_norms, sobolev_norm_dyadic, _floor_bracket)
+                    mixed_dist, pair_norms, sobolev_norm_dyadic, _check_admissible,
+                    _floor_bracket)
 from .rde import BlowUpError, NonConvergenceError, solve_euler, solve_picard_level2, windowed_solve
 from .report import build_report, write_report
 
@@ -74,12 +75,10 @@ class RunConfig:
                     raise InputError(f"p={p!r} is not a number or 'inf'") from None
         alpha = float(alpha)
         p = float(p)
-        if not (0.0 < alpha < 1.0):
-            raise InputError(f"alpha={alpha} outside (0, 1)")
-        if not p > 1.0:
-            raise InputError(f"p={p} must exceed 1")
-        if p != math.inf and not alpha * p > 1.0:
-            raise InputError(f"inadmissible parameters: alpha*p = {alpha * p} <= 1")
+        try:
+            _check_admissible(alpha, p)
+        except PathError as exc:
+            raise InputError(str(exc)) from None
         bracket = _floor_bracket(1.0 / alpha)
         if level is None:
             level = bracket

@@ -19,7 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
 from .fields import PolyVectorField
 from .paths import (IntervalFunction, SampledRoughPath, control_check,
                     integral_norm_interval_function, mixed_dist, inhom_sobolev_dist,
@@ -261,7 +260,7 @@ def embedding_study(cfg: dict) -> dict:
         samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
         X = lift_smooth(samples, level, J, alpha, p)
         # table[a, b] = qvar(1/alpha; [t_a, t_b])^{1/alpha}
-        table = _kernels.interval_dp_table(X.dist_matrix(0, X.n_nodes) ** q)
+        table = _interval_table(lambda *span: X.dist_block(*span) ** q, X.n_nodes)
         omega = integral_norm_interval_function(X, alpha, p)
         out = []
         for j, a, b in _dyadic_windows(J):
@@ -591,37 +590,38 @@ def stability_controls(X1: SampledRoughPath, X2: SampledRoughPath,
 
     evaluated on the dyadic interval family, with the pointwise comparison
     omega' <= omega and the superadditivity check for omega."""
-    J = X1.depth
     n = X1.n_nodes
     rho_hat = inhom_sobolev_dist(X1, X2, alpha, p)
-
-    d1 = X1.dist_matrix(0, n)
-    d2 = X2.dist_matrix(0, n)
-    t1 = _kernels.interval_dp_table(d1 ** (1.0 / alpha))
-    t2 = _kernels.interval_dp_table(d2 ** (1.0 / alpha))
-
     intervals = [(np.arange(0, n - 1, 1 << i), np.arange(1 << i, n, 1 << i))
-                 for i in range(J, -1, -1)]
-    levels = []
-    for k in _dist_levels(alpha, X1.alg.level):
-        dif = [np.empty(lo.size) for lo, _ in intervals]
+                 for i in range(X1.depth, -1, -1)]
+
+    def dyadic(block, power):
+        """The interval table of block(...) ** power, its entries at the
+        dyadic pairs and the block values there, one array per level."""
+        raw = [np.empty(lo.size) for lo, _ in intervals]
 
         def weights(r0, r1, c0, c1):
-            diff = _level_diffs(X1, X2, k, r0, r1, c0, c1)
-            for (lo, hi), out in zip(intervals, dif):  # the dyadic pairs in these rows
+            vals = block(r0, r1, c0, c1)
+            for (lo, hi), out in zip(intervals, raw):  # the dyadic pairs in these rows
                 mine = (lo >= r0) & (lo < r1)
-                out[mine] = diff[lo[mine] - r0, hi[mine] - c0]
-            return diff ** (1.0 / (alpha * k))
+                out[mine] = vals[lo[mine] - r0, hi[mine] - c0]
+            return vals ** power
 
         table = _interval_table(weights, n)
-        tab = [table[lo, hi] for lo, hi in intervals]
+        return table, [table[lo, hi] for lo, hi in intervals], raw
+
+    # each table is dropped before the next is built
+    (t1, d1), (t2, d2) = [dyadic(X.dist_block, 1.0 / alpha)[1:] for X in (X1, X2)]
+    levels = []
+    for k in _dist_levels(alpha, X1.alg.level):
+        table, tab, dif = dyadic(lambda *span: _level_diffs(X1, X2, k, *span), 1.0 / (alpha * k))
         levels.append((k, _mixed_variation(table, alpha, p) ** (k / p), tab, dif))
         del table
 
     omega_levels, omega_prime_levels = [], []
-    for j, (lo, hi) in enumerate(intervals):
-        om = t1[lo, hi] + t2[lo, hi]
-        omp = d1[lo, hi] ** (1.0 / alpha) + d2[lo, hi] ** (1.0 / alpha)
+    for j in range(len(intervals)):
+        om = t1[j] + t2[j]
+        omp = d1[j] ** (1.0 / alpha) + d2[j] ** (1.0 / alpha)
         for (k, rho_mix_k, tab, dif), rho_hat_k in zip(levels, rho_hat.levels):
             if rho_mix_k > 0:
                 om = om + tab[j] / rho_mix_k ** (1.0 / (alpha * k))

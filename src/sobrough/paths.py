@@ -23,7 +23,6 @@ from .algebra import GroupElement, TensorAlgebra
 CTRL_TOL = 1e-9
 
 _BLOCK = 128
-_CACHE_MAX_NODES = 2049  # cache pair distances up to this grid size
 
 
 class PathError(ValueError):
@@ -87,7 +86,7 @@ class SampledRoughPath(_UniformGrid):
         self.nodes = nodes
         self.nodes.setflags(write=False)
         self._inv_cache = None
-        self._dist_cache = None
+        self._dist_cache = None  # never set; the benchmark's tracer reads it
         self._dyadic_cache = {}
         if not trusted:
             self._validate_geometricity()
@@ -136,14 +135,6 @@ class SampledRoughPath(_UniformGrid):
 
     def dist_matrix(self, i0: int, i1: int) -> np.ndarray:
         """Homogeneous-norm increment distances over the window [i0, i1)."""
-        if self.n_nodes <= _CACHE_MAX_NODES:
-            if self._dist_cache is None:
-                full = _kernels.hom_dist_matrix(self.nodes, self.inv_nodes,
-                                                self.alg.dim, self.alg.level,
-                                                0, self.n_nodes)
-                full.setflags(write=False)
-                self._dist_cache = full
-            return self._dist_cache[i0:i1, i0:i1]
         return _kernels.hom_dist_matrix(self.nodes, self.inv_nodes,
                                         self.alg.dim, self.alg.level, i0, i1)
 
@@ -614,13 +605,21 @@ def integral_norm_interval_function(path, alpha: float, p: float) -> IntervalFun
     if grid.depth is None:
         raise PathError("dyadic interval family needs 2^J + 1 samples")
     n = grid.n_nodes
-    dist = grid.dist_matrix(0, n)
-    gap = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
-    np.fill_diagonal(gap, 1.0)
-    w = dist**p / (gap * grid.h) ** (alpha * p + 1.0)
-    np.fill_diagonal(w, 0.0)
+    spans = (np.maximum(np.arange(n), 1) * grid.h) ** (alpha * p + 1.0)  # by index gap
+    # pref[a, b] sums w[u, v], u < a, v < b, over both triangles (they differ in the last
+    # bits) as two whole-matrix cumsums do: full row blocks down into `cols`, then along rows
     pref = np.zeros((n + 1, n + 1))
-    pref[1:, 1:] = np.cumsum(np.cumsum(w, axis=0), axis=1)
+    cols = np.zeros(n)
+    for r0 in range(0, n, _BLOCK):
+        rows = np.arange(r0, min(r0 + _BLOCK, n))
+        w = grid.dist_block(r0, rows[-1] + 1, 0, n) ** p
+        w /= spans[np.abs(np.arange(n) - rows[:, None])]
+        w[rows - r0, rows] = 0.0
+        w[0] += cols
+        np.cumsum(w, axis=0, out=w)
+        cols = w[-1].copy()
+        np.cumsum(w, axis=1, out=pref[r0 + 1:rows[-1] + 2, 1:])
+        del w  # before the next block's distances are computed
     levels = []
     for j in range(grid.depth + 1):
         stride = 1 << (grid.depth - j)

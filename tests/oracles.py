@@ -39,8 +39,12 @@ The three pair-remainder and embedding references are the code that the
 library merged into one builder per quantity: the out-of-place pair
 remainder, the integral's own in-place remainder block, and one
 `partition_dp_max` per dyadic window of the embedding study, where the
-library reads the interval table of the whole path.  The library must match
-them bitwise as well.
+library reads the interval table of the whole path.  The embedding
+reference takes its integral control function from
+`integral_norm_interval_function_whole_matrix`, which builds the (n, n)
+distance, gap and weight arrays and sums them by two whole-matrix cumsums,
+where the library sums full row blocks of the weights as they are computed.
+The library must match them bitwise as well.
 
 The references at the end are the per-point and per-term forms of the
 smoothness and pair-distance code: `sup_on_ball_per_point` rebuilds the
@@ -71,8 +75,7 @@ from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
 from sobrough.fields import _ball_sample
 from sobrough.harness import (_dyadic_windows, lift_smooth, make_walk_samples)
 from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels, control_check,
-                            inhom_sobolev_dist, integral_norm_interval_function,
-                            sobolev_norm_dyadic)
+                            inhom_sobolev_dist, sobolev_norm_dyadic)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -440,6 +443,28 @@ def integral_remainder_block(cp, values):
     return RI
 
 
+def integral_norm_interval_function_whole_matrix(grid, alpha, p):
+    """integral_norm_interval_function of a path on a dyadic grid, from its
+    (n, n) distance matrix, gap and weight arrays and one cumsum of the whole
+    weight matrix along each axis."""
+    n = grid.n_nodes
+    dist = grid.dist_matrix(0, n)
+    gap = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
+    np.fill_diagonal(gap, 1.0)
+    w = dist**p / (gap * grid.h) ** (alpha * p + 1.0)
+    np.fill_diagonal(w, 0.0)
+    pref = np.zeros((n + 1, n + 1))
+    pref[1:, 1:] = np.cumsum(np.cumsum(w, axis=0), axis=1)
+    levels = []
+    for j in range(grid.depth + 1):
+        stride = 1 << (grid.depth - j)
+        lo = np.arange(0, n - 1, stride)
+        hi = lo + stride + 1
+        sums = (pref[hi, hi] - pref[lo, hi] - pref[hi, lo] + pref[lo, lo])
+        levels.append(sums * grid.h * grid.h)
+    return IntervalFunction.from_dyadic(levels)
+
+
 def embedding_ratios_per_window(cfg):
     """(calibration, held-out) ratios of the embedding study, with one
     partition_dp_max on a copied window of the distance matrix per dyadic
@@ -454,7 +479,7 @@ def embedding_ratios_per_window(cfg):
         samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
         X = lift_smooth(samples, level, J, alpha, p)
         dist = X.dist_matrix(0, X.n_nodes)
-        omega = integral_norm_interval_function(X, alpha, p)
+        omega = integral_norm_interval_function_whole_matrix(X, alpha, p)
         for j, a, b in _dyadic_windows(J):
             w = np.ascontiguousarray(dist[a:b + 1, a:b + 1] ** q)
             lhs = sobrough._kernels.partition_dp_max(w)

@@ -10,6 +10,7 @@ import pytest
 
 import sobrough
 from sobrough import cli
+from sobrough import paths as P
 from sobrough.cli import CsvError, InputError, RunConfig, ingest_csv, main
 from sobrough.report import load_schema
 
@@ -112,6 +113,26 @@ class TestRunConfig:
     def test_p_inf_parsing(self):
         cfg = RunConfig.assemble(0.4, "inf", 2, 8, 0, None)
         assert cfg.p == float("inf")
+
+    def test_admissibility_is_the_library_rule(self):
+        # alpha * p rounds to 1.0 while alpha > 1/p: the paths accept this
+        # pair, so the CLI does too
+        alpha, p = 0.3435917406596088, "2.9104308447003246"
+        assert alpha * float(p) <= 1.0 and alpha > 1.0 / float(p)
+        P.SampledRoughPath.from_samples(np.linspace(0.0, 1.0, 5)[:, None], 1, alpha, float(p))
+        cfg = RunConfig.assemble(alpha, p, None, 8, 0, None)
+        assert (cfg.alpha, cfg.p) == (alpha, float(p))
+        for alpha, p in ((0.4, "1.0"), (1.0, "4"), (0.4, "nan"), (0.25, "4")):
+            with pytest.raises(InputError, match="inadmissible"):
+                RunConfig.assemble(alpha, p, None, 8, 0, None)
+
+    def test_p_inf_accepted_by_norm(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_csv(f, np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17)[:, None])
+        out = tmp_path / "report.json"
+        assert main(["norm", "--csv", str(f), "--depth", "4", "--p", "inf",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["p"] == "inf"
 
 
 class TestSubcommands:
@@ -340,16 +361,9 @@ class TestDist:
         assert res["mixed"] == 3.2141741954198784
         assert res["inhom_qvar_levels"] == [2.736935147433875, 3.1819286230333876]
 
-    def test_level_tables_built_once(self, walks, tmp_path, monkeypatch):
-        import sobrough._kernels as kernels
-        calls = {name: [] for name in ("level_diff_block", "interval_push_rows",
-                                       "partition_push_rows", "interval_dp_table",
-                                       "partition_dp_max")}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(kernels, name)):
-                calls[_name].append(args)
-                return _fn(*args)
-            monkeypatch.setattr(kernels, name, counted)
+    def test_level_tables_built_once(self, walks, tmp_path, kernel_calls):
+        calls = kernel_calls("level_diff_block", "interval_push_rows", "partition_push_rows",
+                             "interval_dp_table", "partition_dp_max")
         assert main(["dist", "--csv", walks[0], "--csv2", walks[1], "--depth", "7",
                      "--out", str(tmp_path / "report.json")]) == 0
         # two distance levels; 129 nodes make the row blocks [0, 128) and
@@ -362,3 +376,22 @@ class TestDist:
         assert [args[1] for args in calls["interval_push_rows"]] == [0, 128, 0, 128]
         assert [args[1] for args in calls["partition_push_rows"]] == [0, 128, 0, 128]
         assert not calls["interval_dp_table"] and not calls["partition_dp_max"]
+
+
+class TestStudy:
+    def test_embedding_pushes_each_row_block_once(self, tmp_path, kernel_calls):
+        calls = kernel_calls("hom_dist_block", "interval_push_rows", "interval_dp_table",
+                             "partition_dp_max", "hom_dist_matrix")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"study": {"n_paths": 2}}))
+        assert main(["study", "--name", "embedding", "--depth", "7", "--config", str(cfg),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert not (calls["interval_dp_table"] or calls["partition_dp_max"]
+                    or calls["hom_dist_matrix"])
+        # per path, 129 nodes: the upper row blocks [0, 128) and [128, 129)
+        # over the columns [r0, 129) for the variation table, each pushed once,
+        # then the full row blocks over all 129 columns for the integral control
+        assert [(a[0].shape[0], a[1].shape[0]) for a in calls["hom_dist_block"]] == \
+            [(128, 129), (1, 1), (128, 129), (1, 129)] * 2
+        assert [(a[1], a[2].shape[0]) for a in calls["interval_push_rows"]] == \
+            [(0, 128), (128, 1)] * 2

@@ -171,6 +171,19 @@ class TestStudies:
         assert (rep["n_calibration"], rep["n_heldout"]) == (len(cal), len(held))
         assert rep["heldout_violations"] == sum(1 for r in held if r > K)
 
+    def test_embedding_paths_keep_no_pair_array(self, monkeypatch, kept_arrays):
+        lifted, original = [], H.lift_smooth
+
+        def lift(*args):
+            lifted.append(original(*args))
+            return lifted[-1]
+
+        monkeypatch.setattr(H, "lift_smooth", lift)
+        H.embedding_study({"n_paths": 2, "depth": 5, "seed": 0})
+        assert len(lifted) == 2
+        for X in lifted:
+            assert not kept_arrays(X)
+
     def test_apriori_zero_heldout_violations(self):
         rep = H.apriori_study({"n_paths": 12, "depth": 6, "seed": 0})
         assert rep["heldout_violations"] == 0
@@ -243,3 +256,41 @@ class TestStabilityControls:
                 assert res["omega_prime"].dyadic_level(j).tobytes() == omega_prime[j].tobytes()
             assert res["worst_gap"] == worst_gap
             assert res["omega_superadditivity_violation"] == excess
+
+    @staticmethod
+    def _pair(depth):
+        drv = H.make_trig_driver([0, 500, 0], 2, amp=0.5)
+        eta = H.make_trig_driver([0, 600, 0], 2, amp=0.4)
+        return (H.lift_smooth(drv.samples(depth), 2, depth, 0.4, 4.0),
+                H.lift_smooth(drv.samples(depth) + 0.05 * eta.samples(depth), 2, depth, 0.4, 4.0))
+
+    def test_memory(self, traced_memory, kept_arrays):
+        # one interval table at a time, and the level_diff_block transient of
+        # one row block: about 3.17 (n, n) arrays at J = 9, where the
+        # whole-matrix route peaked at 7.15 and kept both distance matrices
+        X1, X2 = self._pair(9)
+        n = X1.n_nodes
+        X1.inv_nodes, X2.inv_nodes
+        peak, _ = traced_memory(lambda: H.stability_controls(X1, X2, 0.4, 4.0))
+        assert peak <= 3.5 * n * n * 8
+        assert not kept_arrays(X1) and not kept_arrays(X2)
+
+    def test_each_row_block_pushed_once(self, kernel_calls):
+        calls = kernel_calls("hom_dist_block", "level_diff_block", "interval_push_rows",
+                             "partition_push_rows", "interval_dp_table", "partition_dp_max",
+                             "hom_dist_matrix")
+        H.stability_controls(*self._pair(7), 0.4, 4.0)
+        assert not (calls["interval_dp_table"] or calls["partition_dp_max"]
+                    or calls["hom_dist_matrix"])
+        # 129 nodes make the upper row blocks [0, 128) and [128, 129), over the
+        # columns [r0, 129): (rows, columns) once per block of each path
+        assert [(a[0].shape[0], a[1].shape[0]) for a in calls["hom_dist_block"]] == \
+            [(128, 129), (1, 1)] * 2
+        assert [(a[6], a[0].shape[0]) for a in calls["level_diff_block"]] == \
+            [(1, 128), (1, 1), (2, 128), (2, 1)]
+        # four tables (two paths, two levels), each block pushed once; each
+        # level's outer weights pushed once into its mixed variation
+        assert [(a[1], a[2].shape[0]) for a in calls["interval_push_rows"]] == \
+            [(0, 128), (128, 1)] * 4
+        assert [(a[1], a[2].shape[0]) for a in calls["partition_push_rows"]] == \
+            [(0, 128), (128, 1)] * 2

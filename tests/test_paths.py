@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -353,34 +352,22 @@ class TestInhomDistances:
         assert (res.levels, res.value) == oracles.mixed_dist_out_of_place(X1, X2, ALPHA, PP)
         assert res.qvar_levels == P.inhom_qvar_dist(X1, X2, ALPHA)
 
-    @staticmethod
-    def transient_peak(fn):
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            fn()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return peak - base
-
-    def test_mixed_transient_memory(self):
+    def test_mixed_transient_memory(self, traced_memory):
         # one level's table and the level_diff_block transient of one row
         # block (about 2 (n, n) arrays at 128 x 513) come to about 3.07 (n, n)
         # arrays, once the previous level's table is dropped
         X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
         n = X1.n_nodes
         X1.inv_nodes, X2.inv_nodes
-        assert self.transient_peak(lambda: P.mixed_dist(X1, X2, ALPHA, PP)) <= 3.5 * n * n * 8
+        assert traced_memory(lambda: P.mixed_dist(X1, X2, ALPHA, PP))[0] <= 3.5 * n * n * 8
 
-    def test_qvar_dist_transient_memory(self):
+    def test_qvar_dist_transient_memory(self, traced_memory):
         # no (n, n) array: the level_diff_block transient of one row block and
         # that block's weights, about 2.08 (n, n) arrays at J = 9
         X1, X2 = walk_path(61, depth=9), walk_path(62, depth=9)
         n = X1.n_nodes
         X1.inv_nodes, X2.inv_nodes
-        assert self.transient_peak(lambda: P.inhom_qvar_dist(X1, X2, ALPHA)) <= 2.5 * n * n * 8
+        assert traced_memory(lambda: P.inhom_qvar_dist(X1, X2, ALPHA))[0] <= 2.5 * n * n * 8
 
     def test_mixed_bounded_by_norm_sum(self):
         # fit the comparison constant on one family, check it on a fresh one
@@ -434,6 +421,41 @@ class TestControlCheck:
         omega = P.integral_norm_interval_function(X, ALPHA, PP)
         rep = P.control_check(omega)
         assert rep.ok
+
+    @staticmethod
+    def _assert_integral_control_equals_whole_matrix(path):
+        got = P.integral_norm_interval_function(path, ALPHA, PP)
+        want = oracles.integral_norm_interval_function_whole_matrix(path, ALPHA, PP)
+        for j in range(want.depth + 1):
+            assert got.dyadic_level(j).tobytes() == want.dyadic_level(j).tobytes(), j
+
+    @pytest.mark.parametrize("J", [1, 3, 7, 9])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_integral_control_bitwise_equal_to_whole_matrix(self, J, d, N):
+        # J = 9 has 513 nodes, so its full row blocks cross the 128-row boundary
+        rng = np.random.default_rng(100 * J + 10 * d + N)
+        pts = np.vstack([np.zeros(d), np.cumsum(0.1 * rng.standard_normal(((1 << J), d)), axis=0)])
+        self._assert_integral_control_equals_whole_matrix(
+            P.SampledRoughPath.from_samples(pts, N, ALPHA, PP))
+
+    @pytest.mark.parametrize("J", [3, 9])
+    @pytest.mark.parametrize("m", [1, 3, 8, 9, 16])
+    def test_integral_control_of_vector_path_bitwise_equal_to_whole_matrix(self, J, m):
+        vals = np.random.default_rng(10 * J + m).standard_normal(((1 << J) + 1, m))
+        self._assert_integral_control_equals_whole_matrix(P.VectorPath(vals))
+
+    def test_integral_control_memory(self, traced_memory, kept_arrays):
+        # no (n, n) array but the prefix sums: one full row block of distances
+        # with its level-2 planes and of weights, about 2.34 (n, n) arrays at
+        # J = 9; the whole-matrix form peaked at 6.0 and kept the distances
+        X = walk_path(61, depth=9)
+        n = X.n_nodes
+        X.inv_nodes
+        peak, held = traced_memory(lambda: P.integral_norm_interval_function(X, ALPHA, PP))
+        assert peak <= 2.6 * n * n * 8
+        assert held < n * 8 * 8
+        assert not kept_arrays(X)
 
     def test_integral_norm_interval_function_checks_its_input(self):
         with pytest.raises(P.PathError, match=r"2\^J \+ 1 samples"):
@@ -568,22 +590,15 @@ class TestSharedPairDistances:
         # rows [r0, r0 + 128) over the columns [r0, n): every pair u < v once
         assert calls == [(min(128, n - r0), n - r0) for r0 in range(0, n, 128)]
 
-    def test_streamed_pass_memory(self):
+    def test_streamed_pass_memory(self, traced_memory, kept_arrays):
         # J = 11: one row block is 128 x 2049 floats; the kept rows of all
         # blocks would be about 8 of them, the (n, n) weights 16
         X = walk_path(63, depth=11)
         X.inv_nodes  # the path's own inverses, kept before the pass
         block = 128 * X.n_nodes * 8
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            P.pair_norms(X, qvar=1.0 / ALPHA, holder=ALPHA, integral=(ALPHA, PP))
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak - base <= 9 * block
-        assert held - base < block // 8
+        peak, held = traced_memory(
+            lambda: P.pair_norms(X, qvar=1.0 / ALPHA, holder=ALPHA, integral=(ALPHA, PP)))
+        assert peak <= 9 * block
+        assert held < block // 8
         assert X._dist_cache is None
-        assert not [k for k, v in vars(X).items()
-                    if isinstance(v, np.ndarray) and k not in ("nodes", "_inv_cache")]
+        assert not kept_arrays(X)
