@@ -60,31 +60,27 @@ class RunConfig:
                 raise InputError(f"config file is not valid JSON: {exc}") from exc
             if not isinstance(blocks, dict):
                 raise InputError("config file must hold a JSON object")
-        alpha = blocks.pop("alpha", alpha)
-        p = blocks.pop("p", p)
+        alpha = _number("alpha", blocks.pop("alpha", alpha))
+        p = _number("p", blocks.pop("p", p))
         level = blocks.pop("level", level)
-        depth = blocks.pop("depth", depth)
-        seed = blocks.pop("seed", seed)
-        if isinstance(p, str):
-            if p.strip().lower() in ("inf", "infinity"):
-                p = math.inf
-            else:
-                try:
-                    p = float(p)
-                except ValueError:
-                    raise InputError(f"p={p!r} is not a number or 'inf'") from None
-        alpha = float(alpha)
-        p = float(p)
+        depth = _integer("depth", blocks.pop("depth", depth))
+        seed = _integer("seed", blocks.pop("seed", seed))
+        if depth < 0:
+            raise InputError(f"depth={depth} is negative")
         try:
             _check_admissible(alpha, p)
         except PathError as exc:
             raise InputError(str(exc)) from None
         bracket = _floor_bracket(1.0 / alpha)
-        if level is None:
-            level = bracket
-        elif int(level) != bracket:
+        level = bracket if level is None else _integer("level", level)
+        if level != bracket:
             click.echo(f"warning: level {level} overrides [1/alpha] = {bracket}", err=True)
-        return cls(alpha, float(p), int(level), int(depth), int(seed), blocks)
+        return cls(alpha, p, level, depth, seed, blocks)
+
+    def block(self, name: str, *keys: str) -> dict:
+        """A copy of config block `name`, with the run's value of each unset key."""
+        block = self.blocks.get(name, {})
+        return {**block, **{key: getattr(self, key) for key in keys if key not in block}}
 
     def echo(self, subcommand: str, **extra) -> dict:
         cfg = {
@@ -94,11 +90,29 @@ class RunConfig:
             "level": self.level,
             "depth": self.depth,
             "seed": self.seed,
+            **extra,
         }
-        cfg.update(extra)
         if self.blocks:
             cfg["blocks"] = self.blocks
         return cfg
+
+
+def _number(key: str, value) -> float:
+    """A config value as a float: a number, or a string such as '4' or 'inf'."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise InputError(f"{key}={value!r} is not a number")
+
+
+def _integer(key: str, value) -> int:
+    """A config value as an int: an integer, or a float with an integer value."""
+    if isinstance(value, bool) or not (isinstance(value, int)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise InputError(f"{key}={value!r} is not an integer")
+    return int(value)
 
 
 def ingest_csv(path: str, depth: int):
@@ -358,12 +372,7 @@ def solve(alpha, p_, level, depth, seed, config_path, out, csv):
 def sweep(alpha, p_, level, depth, seed, config_path, out):
     """Solution-map Lipschitz sweep across perturbation channels."""
     cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
-    sweep_cfg = dict(cfg.blocks.get("sweep", {}))
-    sweep_cfg.setdefault("alpha", cfg.alpha)
-    sweep_cfg.setdefault("p", cfg.p)
-    sweep_cfg.setdefault("level", cfg.level)
-    sweep_cfg.setdefault("depth", cfg.depth)
-    sweep_cfg.setdefault("seed", cfg.seed)
+    sweep_cfg = cfg.block("sweep", "alpha", "p", "level", "depth", "seed")
     rep = harness.lipschitz_sweep(sweep_cfg)
     prov = {"results.records": "computed", "results.per_channel": "computed",
             "results.stability_factor": "computed", "results.fitted_constant": "fitted"}
@@ -384,11 +393,7 @@ _STUDIES = {
 def study(alpha, p_, level, depth, seed, config_path, out, name):
     """Run a verification study (equivalence, embedding, convergence, apriori)."""
     cfg = RunConfig.assemble(alpha, p_, level, depth, seed, config_path)
-    study_cfg = dict(cfg.blocks.get("study", {}))
-    study_cfg.setdefault("alpha", cfg.alpha)
-    study_cfg.setdefault("p", cfg.p)
-    study_cfg.setdefault("level", cfg.level)
-    study_cfg.setdefault("seed", cfg.seed)
+    study_cfg = cfg.block("study", "alpha", "p", "level", "seed")
     if name in ("embedding", "apriori"):
         study_cfg.setdefault("depth", min(cfg.depth, 7))
     rep = _STUDIES[name](study_cfg)
@@ -403,13 +408,9 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.exceptions.NoSuchOption as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
     except click.UsageError as exc:
-        ctx = exc.ctx
-        if ctx is not None:
-            click.echo(ctx.get_usage(), err=True)
+        if exc.ctx is not None and not isinstance(exc, click.exceptions.NoSuchOption):
+            click.echo(exc.ctx.get_usage(), err=True)
         click.echo(f"error: {exc.format_message()}", err=True)
         return 1
     except click.ClickException as exc:

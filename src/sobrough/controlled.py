@@ -33,6 +33,10 @@ SELF_TEST_TOL = 1e-6
 SmoothMap = PolyVectorField
 
 
+class NonFiniteError(PathError):
+    """Controlled-path values that are not finite."""
+
+
 class ControlledPath:
     """Pair (Y, Y') on the grid of a level-2 rough path X."""
 
@@ -45,7 +49,7 @@ class ControlledPath:
         if Yprime.shape != Y.shape + (X.alg.dim,):
             raise PathError(f"Yprime shape {Yprime.shape}, expected {Y.shape + (X.alg.dim,)}")
         if not (np.all(np.isfinite(Y)) and np.all(np.isfinite(Yprime))):
-            raise PathError("non-finite controlled-path values")
+            raise NonFiniteError("non-finite controlled-path values")
         self.X = X
         self.Y = Y
         self.Yprime = Yprime

@@ -20,10 +20,10 @@ from typing import Callable
 import numpy as np
 
 from .fields import PolyVectorField
-from .paths import (IntervalFunction, SampledRoughPath, control_check,
-                    integral_norm_interval_function, mixed_dist, inhom_sobolev_dist,
-                    sobolev_norm_dyadic, sobolev_norm_integral, VectorPath,
-                    _dist_levels, _floor_bracket, _interval_table, _level_diffs, _mixed_variation)
+from .paths import (IntervalFunction, SampledRoughPath, control_check, mixed_dist,
+                    inhom_sobolev_dist, sobolev_norm_dyadic, sobolev_norm_integral, VectorPath,
+                    _dist_levels, _floor_bracket, _integral_control, _interval_table,
+                    _level_diffs, _mixed_variation)
 from .rde import (NonConvergenceError, BlowUpError, RdeSolution, solve_euler,
                   solve_picard_level2)
 
@@ -83,17 +83,11 @@ def make_walk_samples(seed, d: int, base_depth: int, roughness: float,
     steps = rng.choice([-1.0, 1.0], size=(1 << base_depth, d))
     steps *= 2.0 ** (-base_depth * roughness)
     knots = np.vstack([np.zeros(d), np.cumsum(steps, axis=0)])
-    if depth == base_depth:
-        return knots
     factor = 1 << (depth - base_depth)
     # linear interpolation between knots lands back on the walk segments
-    out = np.empty(((1 << depth) + 1, d))
-    frac = np.arange(factor) / factor
-    for i in range(1 << base_depth):
-        seg = knots[i][None, :] + np.outer(frac, knots[i + 1] - knots[i])
-        out[i * factor:(i + 1) * factor] = seg
-    out[-1] = knots[-1]
-    return out
+    frac = (np.arange(factor) / factor)[:, None]
+    segs = knots[:-1, None] + frac * np.diff(knots, axis=0)[:, None]
+    return np.vstack([segs.reshape(-1, d), knots[-1:]])
 
 
 def lift_smooth(samples, level: int, depth: int, alpha: float, p: float) -> SampledRoughPath:
@@ -259,9 +253,10 @@ def embedding_study(cfg: dict) -> dict:
     def interval_ratios(i):
         samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
         X = lift_smooth(samples, level, J, alpha, p)
+        dist_block, control = _integral_control(X, alpha, p)  # the blocks feed both
         # table[a, b] = qvar(1/alpha; [t_a, t_b])^{1/alpha}
-        table = _interval_table(lambda *span: X.dist_block(*span) ** q, X.n_nodes)
-        omega = integral_norm_interval_function(X, alpha, p)
+        table = _interval_table(lambda *span: dist_block(*span) ** q, X.n_nodes)
+        omega = control()
         out = []
         for j, a, b in _dyadic_windows(J):
             lhs = float(table[a, b])

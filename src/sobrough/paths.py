@@ -597,34 +597,39 @@ def control_check(omega: IntervalFunction, tol: float = CTRL_TOL) -> ControlRepo
     return ControlReport(worst <= tol, worst)
 
 
-def integral_norm_interval_function(path, alpha: float, p: float) -> IntervalFunction:
-    """sobolev_norm_integral(.)^p restricted to the dyadic interval family
-    (a control function; used with control_check)."""
+def _integral_control(grid, alpha: float, p: float):
+    """(block, control): block(r0, r1, r0, n) returns grid.dist_block of an
+    upper row block once it has added the block's integral terms into every
+    dyadic square that holds them; control() is the interval function."""
     _check_admissible(alpha, p, finite=True)
-    grid = _as_grid(path)
     if grid.depth is None:
         raise PathError("dyadic interval family needs 2^J + 1 samples")
-    n = grid.n_nodes
-    spans = (np.maximum(np.arange(n), 1) * grid.h) ** (alpha * p + 1.0)  # by index gap
-    # pref[a, b] sums w[u, v], u < a, v < b, over both triangles (they differ in the last
-    # bits) as two whole-matrix cumsums do: full row blocks down into `cols`, then along rows
-    pref = np.zeros((n + 1, n + 1))
-    cols = np.zeros(n)
-    for r0 in range(0, n, _BLOCK):
-        rows = np.arange(r0, min(r0 + _BLOCK, n))
-        w = grid.dist_block(r0, rows[-1] + 1, 0, n) ** p
-        w /= spans[np.abs(np.arange(n) - rows[:, None])]
-        w[rows - r0, rows] = 0.0
-        w[0] += cols
-        np.cumsum(w, axis=0, out=w)
-        cols = w[-1].copy()
-        np.cumsum(w, axis=1, out=pref[r0 + 1:rows[-1] + 2, 1:])
-        del w  # before the next block's distances are computed
-    levels = []
-    for j in range(grid.depth + 1):
-        stride = 1 << (grid.depth - j)
-        lo = np.arange(0, n - 1, stride)
-        hi = lo + stride + 1
-        sums = (pref[hi, hi] - pref[lo, hi] - pref[hi, lo] + pref[lo, lo])
-        levels.append(sums * grid.h * grid.h)
-    return IntervalFunction.from_dyadic(levels)
+    J, n, h = grid.depth, grid.n_nodes, grid.h
+    weights = _gap_powers(h, -(alpha * p + 1.0), n)
+    sums = [np.zeros(1 << j) for j in range(J + 1)]
+
+    def block(r0, r1, c0, c1):
+        dist = grid.dist_block(r0, r1, c0, c1)
+        # row u holds the pairs u < v <= b of its square [a, b] at each level:
+        # the running sum of its terms from v = u + 1, read at v = b
+        with np.errstate(over="ignore"):
+            run = np.cumsum(np.triu(dist**p * _block_view(weights, *dist.shape), 1), axis=1)
+        u = np.arange(r0, min(r1, n - 1))  # node n - 1 starts no pair
+        for j, level in enumerate(sums):
+            square = u >> (J - j)
+            level += np.bincount(square, run[u - r0, ((square + 1) << (J - j)) - r0], level.size)
+        return dist
+
+    return block, lambda: IntervalFunction.from_dyadic([2.0 * s * h * h for s in sums])
+
+
+def integral_norm_interval_function(path, alpha: float, p: float) -> IntervalFunction:
+    """sobolev_norm_integral(.)^p restricted to the dyadic interval family (a
+    control function; used with control_check): on each dyadic [t_a, t_b],
+    2 h^2 sum_{a <= u < v <= b} d(X_u, X_v)^p / |t_v - t_u|^{alpha p + 1}, the
+    upper triangle doubled as in sobolev_norm_integral.  Each square is summed
+    from its own terms, so its value is exact up to rounding, short or long."""
+    grid = _as_grid(path)
+    block, control = _integral_control(grid, alpha, p)
+    _push_rows(lambda *_: None, None, block, 0, grid.n_nodes)
+    return control()

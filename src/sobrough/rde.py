@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import GroupElement
-from .controlled import (ControlledPath, SELF_TEST_TOL, _integral_values,
+from .controlled import (ControlledPath, NonFiniteError, SELF_TEST_TOL, _integral_values,
                          compose_smooth, controlled_norm)
 from .fields import PolyVectorField
 from .paths import PathError, SampledRoughPath
@@ -119,17 +119,12 @@ def solve_picard_level2(y0, V: PolyVectorField, X: SampledRoughPath,
     finite_until = 0  # the last iteration with a finite residual
     for it in range(1, max_iter + 1):
         with np.errstate(over="ignore", invalid="ignore"):
-            try:
+            try:  # a non-finite V(Y) or integral is a blow-up
                 integrand = compose_smooth(V, cp)
-                values = _integral_values(integrand)
-            except PathError as exc:
-                if "non-finite" in str(exc):
-                    raise BlowUpError(it) from None
-                raise
-            Ynew = y0[None, :] + values
-            if not np.all(np.isfinite(Ynew)):
-                raise BlowUpError(it)
-            nxt = ControlledPath(X, Ynew, integrand.Y)     # V(Y), evaluated once
+                nxt = ControlledPath(X, y0[None, :] + _integral_values(integrand),
+                                     integrand.Y)  # V(Y), evaluated once
+            except NonFiniteError:
+                raise BlowUpError(it) from None
             try:
                 residual = controlled_norm(nxt.sub(cp), cutoff=tol if it < max_iter else math.inf)
             except OverflowError:  # a Python float ** (2/p) beyond the float range, p < 2

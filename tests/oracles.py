@@ -40,11 +40,14 @@ library merged into one builder per quantity: the out-of-place pair
 remainder, the integral's own in-place remainder block, and one
 `partition_dp_max` per dyadic window of the embedding study, where the
 library reads the interval table of the whole path.  The embedding
-reference takes its integral control function from
-`integral_norm_interval_function_whole_matrix`, which builds the (n, n)
-distance, gap and weight arrays and sums them by two whole-matrix cumsums,
-where the library sums full row blocks of the weights as they are computed.
-The library must match them bitwise as well.
+reference takes its integral control function from the library's
+`integral_norm_interval_function`, where the study feeds the upper row
+blocks of its interval table to the same control sums.  The library must
+match them bitwise as well.  `integral_control_fsum` is the definition of
+that control function: twice the `math.fsum` of the integral terms over the
+upper triangle of each dyadic square, from the (n, n) distance matrix.  The
+library sums each square by rounding arithmetic, so it must match it to a
+stated relative tolerance, not bitwise.
 
 The references at the end are the per-point and per-term forms of the
 smoothness and pair-distance code: `sup_on_ball_per_point` rebuilds the
@@ -75,7 +78,8 @@ from sobrough.controlled import (ControlledPath, compose_smooth, remainder,
 from sobrough.fields import _ball_sample
 from sobrough.harness import (_dyadic_windows, lift_smooth, make_walk_samples)
 from sobrough.paths import (IntervalFunction, VectorPath, _dist_levels, control_check,
-                            inhom_sobolev_dist, sobolev_norm_dyadic)
+                            inhom_sobolev_dist, integral_norm_interval_function,
+                            sobolev_norm_dyadic)
 from sobrough.rde import BlowUpError, NonConvergenceError, RdeSolution
 
 
@@ -443,32 +447,26 @@ def integral_remainder_block(cp, values):
     return RI
 
 
-def integral_norm_interval_function_whole_matrix(grid, alpha, p):
-    """integral_norm_interval_function of a path on a dyadic grid, from its
-    (n, n) distance matrix, gap and weight arrays and one cumsum of the whole
-    weight matrix along each axis."""
-    n = grid.n_nodes
-    dist = grid.dist_matrix(0, n)
-    gap = np.abs(np.arange(n)[None, :] - np.arange(n)[:, None]).astype(float)
-    np.fill_diagonal(gap, 1.0)
-    w = dist**p / (gap * grid.h) ** (alpha * p + 1.0)
-    np.fill_diagonal(w, 0.0)
-    pref = np.zeros((n + 1, n + 1))
-    pref[1:, 1:] = np.cumsum(np.cumsum(w, axis=0), axis=1)
+def integral_control_fsum(grid, alpha, p):
+    """The dyadic levels of integral_norm_interval_function: on each dyadic
+    [t_a, t_b], 2 h^2 times the math.fsum of d(X_u, X_v)^p / ((v - u) h)^{alpha p + 1}
+    over a <= u < v <= b, from the (n, n) distance matrix."""
+    n, J, h = grid.n_nodes, grid.depth, grid.h
+    gap = np.arange(n)[None, :] - np.arange(n)[:, None]
+    w = grid.dist_matrix(0, n) ** p / (np.maximum(gap, 1) * h) ** (alpha * p + 1.0)
     levels = []
-    for j in range(grid.depth + 1):
-        stride = 1 << (grid.depth - j)
-        lo = np.arange(0, n - 1, stride)
-        hi = lo + stride + 1
-        sums = (pref[hi, hi] - pref[lo, hi] - pref[hi, lo] + pref[lo, lo])
-        levels.append(sums * grid.h * grid.h)
-    return IntervalFunction.from_dyadic(levels)
+    for j in range(J + 1):
+        stride = 1 << (J - j)
+        upper = np.triu_indices(stride + 1, 1)
+        levels.append(np.array([2.0 * math.fsum(w[a:a + stride + 1, a:a + stride + 1][upper]) * h * h
+                                for a in range(0, n - 1, stride)]))
+    return levels
 
 
 def embedding_ratios_per_window(cfg):
     """(calibration, held-out) ratios of the embedding study, with one
     partition_dp_max on a copied window of the distance matrix per dyadic
-    interval."""
+    interval, over the library's integral control function."""
     alpha, p = cfg.get("alpha", 0.4), cfg.get("p", 4.0)
     level, J = cfg.get("level", 2), cfg.get("depth", 7)
     seed, d = cfg.get("seed", 0), cfg.get("d", 2)
@@ -479,7 +477,7 @@ def embedding_ratios_per_window(cfg):
         samples = make_walk_samples([seed, i], d, J, cfg.get("roughness", 0.6), J)
         X = lift_smooth(samples, level, J, alpha, p)
         dist = X.dist_matrix(0, X.n_nodes)
-        omega = integral_norm_interval_function_whole_matrix(X, alpha, p)
+        omega = integral_norm_interval_function(X, alpha, p)
         for j, a, b in _dyadic_windows(J):
             w = np.ascontiguousarray(dist[a:b + 1, a:b + 1] ** q)
             lhs = sobrough._kernels.partition_dp_max(w)

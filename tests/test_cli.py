@@ -126,6 +126,36 @@ class TestRunConfig:
             with pytest.raises(InputError, match="inadmissible"):
                 RunConfig.assemble(alpha, p, None, 8, 0, None)
 
+    @pytest.fixture
+    def csv(self, tmp_path):
+        f = tmp_path / "p.csv"
+        write_csv(f, np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17)[:, None])
+        return str(f)
+
+    @pytest.mark.parametrize("block", [
+        {"alpha": "abc"}, {"alpha": None}, {"alpha": True}, {"p": "four"}, {"p": [4]},
+        {"level": "two"}, {"level": 2.5}, {"depth": "x"}, {"depth": 2.5}, {"depth": -2},
+        {"seed": [1]}, {"seed": 0.5}], ids=json.dumps)
+    def test_bad_config_value_exits_1_naming_its_key(self, tmp_path, capsys, csv, block):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(block))
+        code, _, err = run_cli(["norm", "--csv", csv, "--config", str(cfg)], capsys)
+        (key,) = block
+        assert code == 1
+        assert err.startswith(f"error: {key}=") and err.count("\n") == 1
+
+    def test_negative_depth_flag_exits_1(self, capsys, csv):
+        code, _, err = run_cli(["norm", "--csv", csv, "--depth", "-1"], capsys)
+        assert (code, err) == (1, "error: depth=-1 is negative\n")
+
+    def test_integral_floats_and_numeric_strings_accepted(self, tmp_path):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"alpha": "0.45", "p": "inf", "level": 2.0, "depth": 5.0,
+                                   "seed": 3.0}))
+        got = RunConfig.assemble(0.4, "4", None, 8, 0, str(cfg))
+        assert (got.alpha, got.p, got.level, got.depth, got.seed) == (0.45, math.inf, 2, 5, 3)
+        assert all(type(v) is int for v in (got.level, got.depth, got.seed))
+
     def test_p_inf_accepted_by_norm(self, tmp_path):
         f = tmp_path / "p.csv"
         write_csv(f, np.linspace(0.0, 1.0, 17), np.linspace(0.0, 1.0, 17)[:, None])
@@ -389,9 +419,9 @@ class TestStudy:
         assert not (calls["interval_dp_table"] or calls["partition_dp_max"]
                     or calls["hom_dist_matrix"])
         # per path, 129 nodes: the upper row blocks [0, 128) and [128, 129)
-        # over the columns [r0, 129) for the variation table, each pushed once,
-        # then the full row blocks over all 129 columns for the integral control
+        # over the columns [r0, 129), each computed once and pushed into both
+        # the variation table and the integral control
         assert [(a[0].shape[0], a[1].shape[0]) for a in calls["hom_dist_block"]] == \
-            [(128, 129), (1, 1), (128, 129), (1, 129)] * 2
+            [(128, 129), (1, 1)] * 2
         assert [(a[1], a[2].shape[0]) for a in calls["interval_push_rows"]] == \
             [(0, 128), (128, 1)] * 2

@@ -423,37 +423,52 @@ class TestControlCheck:
         assert rep.ok
 
     @staticmethod
-    def _assert_integral_control_equals_whole_matrix(path):
+    def _assert_integral_control_equals_fsum(path):
+        # each dyadic square is summed from its own terms, so short intervals
+        # keep the relative accuracy of long ones
         got = P.integral_norm_interval_function(path, ALPHA, PP)
-        want = oracles.integral_norm_interval_function_whole_matrix(path, ALPHA, PP)
-        for j in range(want.depth + 1):
-            assert got.dyadic_level(j).tobytes() == want.dyadic_level(j).tobytes(), j
+        want = oracles.integral_control_fsum(path, ALPHA, PP)
+        for j, level in enumerate(want):
+            assert np.all(np.abs(got.dyadic_level(j) - level) <= 1e-14 * level), j
 
     @pytest.mark.parametrize("J", [1, 3, 7, 9])
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_integral_control_bitwise_equal_to_whole_matrix(self, J, d, N):
-        # J = 9 has 513 nodes, so its full row blocks cross the 128-row boundary
+    def test_integral_control_equals_fsum(self, J, d, N):
+        # J = 9 has 513 nodes, so its row blocks cross the 128-row boundary
         rng = np.random.default_rng(100 * J + 10 * d + N)
         pts = np.vstack([np.zeros(d), np.cumsum(0.1 * rng.standard_normal(((1 << J), d)), axis=0)])
-        self._assert_integral_control_equals_whole_matrix(
-            P.SampledRoughPath.from_samples(pts, N, ALPHA, PP))
+        self._assert_integral_control_equals_fsum(P.SampledRoughPath.from_samples(pts, N, ALPHA, PP))
 
     @pytest.mark.parametrize("J", [3, 9])
     @pytest.mark.parametrize("m", [1, 3, 8, 9, 16])
-    def test_integral_control_of_vector_path_bitwise_equal_to_whole_matrix(self, J, m):
+    def test_integral_control_of_vector_path_equals_fsum(self, J, m):
         vals = np.random.default_rng(10 * J + m).standard_normal(((1 << J) + 1, m))
-        self._assert_integral_control_equals_whole_matrix(P.VectorPath(vals))
+        self._assert_integral_control_equals_fsum(P.VectorPath(vals))
+
+    @pytest.mark.parametrize("J", [7, 9, 10])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_integral_control_of_rough_walk_equals_fsum(self, J, seed):
+        self._assert_integral_control_equals_fsum(walk_path(seed, depth=J))
+
+    @pytest.mark.parametrize("kind, size", [("walk", 3), ("walk", 7), ("walk", 10),
+                                            ("vector", 1), ("vector", 3), ("vector", 16)])
+    def test_whole_interval_is_the_integral_norm(self, kind, size):
+        # the same upper-triangle terms, summed in another order
+        path = (walk_path(5, depth=size) if kind == "walk"
+                else P.VectorPath(np.random.default_rng(size).standard_normal((129, size))))
+        top = P.integral_norm_interval_function(path, ALPHA, PP).dyadic_level(0)[0]
+        assert top == pytest.approx(P.sobolev_norm_integral(path, ALPHA, PP) ** PP, rel=1e-14)
 
     def test_integral_control_memory(self, traced_memory, kept_arrays):
-        # no (n, n) array but the prefix sums: one full row block of distances
-        # with its level-2 planes and of weights, about 2.34 (n, n) arrays at
-        # J = 9; the whole-matrix form peaked at 6.0 and kept the distances
+        # no (n, n) array: one upper row block of distances with its level-2
+        # planes, about 1.33 (n, n) arrays at J = 9; the 2-D prefix sums of
+        # full row blocks peaked at 2.33 and the whole-matrix form at 6.0
         X = walk_path(61, depth=9)
         n = X.n_nodes
         X.inv_nodes
         peak, held = traced_memory(lambda: P.integral_norm_interval_function(X, ALPHA, PP))
-        assert peak <= 2.6 * n * n * 8
+        assert peak <= 1.6 * n * n * 8
         assert held < n * 8 * 8
         assert not kept_arrays(X)
 

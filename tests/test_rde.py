@@ -166,6 +166,25 @@ class TestPicard:
         assert exc.value.step == step
         assert [str(w.message) for w in caught] == []
 
+    def test_non_finite_values_raise_their_own_path_error(self):
+        X = lift_line(3)
+        Y = np.ones((X.n_nodes, 1))
+        Y[4] = np.inf
+        with pytest.raises(controlled.NonFiniteError, match="non-finite controlled-path values"):
+            ControlledPath(X, Y, np.zeros((X.n_nodes, 1, 1)))
+        assert issubclass(controlled.NonFiniteError, P.PathError)
+
+    def test_blow_up_decided_by_error_class_not_wording(self, monkeypatch):
+        X = lift_line(3)
+        V = PolyVectorField.scalar([0.0, 1.0])
+
+        def refuse(cp):
+            raise P.PathError("non-finite, but not a blow-up")
+
+        monkeypatch.setattr(rde, "_integral_values", refuse)
+        with pytest.raises(P.PathError, match="not a blow-up"):
+            rde.solve_picard_level2(np.array([1.0]), V, X)
+
     def test_nonconvergence_raises_with_residual(self):
         V = PolyVectorField.scalar([0.0, 5.0])
         X = lift_line(5)
